@@ -49,11 +49,13 @@ forEachTask(std::size_t count, u32 threads,
 {
     threads = resolveThreads(count, threads);
 
-    // Telemetry: grow the shard pool here (the coordinator), so the
-    // workers below can bind lock-free.
+    // Telemetry: one shard per task, grown here (the coordinator) so
+    // the workers below can bind lock-free. Task i writes only shard
+    // i and the join folds them in index order, so floating-point
+    // counter sums do not depend on which worker ran which task.
     auto &reg = obs::Registry::get();
     if (reg.enabled()) {
-        reg.ensureWorkers(threads);
+        reg.ensureWorkers(static_cast<u32>(count));
         reg.root().gaugeMax("campaign/workers",
                             static_cast<double>(threads));
     }
@@ -63,8 +65,6 @@ forEachTask(std::size_t count, u32 threads,
     std::exception_ptr first_error;
 
     const auto worker = [&](u32 w, bool spawned) {
-        if (reg.enabled())
-            reg.bindThread(w);
         if (spawned) {
             if (auto *tr = obs::tracer())
                 tr->setThreadName("worker " + std::to_string(w));
@@ -74,6 +74,8 @@ forEachTask(std::size_t count, u32 threads,
                 next.fetch_add(1, std::memory_order_relaxed);
             if (i >= count)
                 return;
+            if (reg.enabled())
+                reg.bindThread(static_cast<u32>(i));
             try {
                 fn(i, w);
             } catch (...) {

@@ -95,7 +95,9 @@ u32 resolveThreads(std::size_t count, u32 threads);
  * workers can own per-thread state (e.g. a ScratchArena). If a
  * worker throws, the remaining queue is drained without running
  * further tasks, all workers are joined, and the first exception is
- * rethrown on the calling thread.
+ * rethrown on the calling thread. With telemetry on, task i writes
+ * counter shard i, folded in index order at the join (see
+ * obs/registry.hh).
  */
 void forEachTask(std::size_t count, u32 threads,
                  const std::function<void(std::size_t, u32)> &fn);

@@ -6,18 +6,20 @@
  * Names are path-style ("device/sched/tfaw_stall_ns",
  * "campaign/cache/hits"); the registry renders them as a nested JSON
  * tree for `--metrics-out`. Two merge semantics: *counters* sum and
- * *gauges* keep the maximum, so both fold deterministically
- * regardless of which worker produced which share.
+ * *gauges* keep the maximum. Floating-point sums depend on the order
+ * of their terms, so counters fold deterministically only because
+ * every campaign task writes its own shard and the shards fold in
+ * task-index order, whichever worker ran which task.
  *
  * Concurrency model (no locks on the hot path):
  *  - the registry is disabled by default; `obs::shard()` is then a
  *    null pointer and instrumentation costs one branch;
- *  - when enabled, each campaign worker is bound (bindThread) to its
- *    own CounterShard before tasks start, writes to it exclusively
- *    while tasks run, and the shards are merged into the root shard
- *    by the coordinating thread *after the workers joined* — the
- *    task-boundary merge needs no atomics because it happens outside
- *    the parallel phase;
+ *  - when enabled, the worker running campaign task i is bound
+ *    (bindThread) to task shard i before the task starts, writes to
+ *    it exclusively while the task runs, and the shards are merged
+ *    into the root shard in index order by the coordinating thread
+ *    *after the workers joined* — the task-boundary merge needs no
+ *    atomics because it happens outside the parallel phase;
  *  - the main thread is bound to the root shard on enable().
  *
  * Telemetry is side-band: nothing in here feeds back into simulated
@@ -133,21 +135,22 @@ class Registry
     void reset();
 
     /**
-     * Grow the worker shard pool to at least `n` slots. Call from the
-     * coordinating thread before workers start; shard references stay
-     * stable afterwards (deque storage).
+     * Grow the task shard pool to at least `n` slots (one per
+     * campaign task). Call from the coordinating thread before
+     * workers start; shard references stay stable afterwards (deque
+     * storage).
      */
     void ensureWorkers(u32 n);
 
-    /** @return worker shard `idx` (< the ensured count). */
+    /** @return task shard `idx` (< the ensured count). */
     CounterShard &worker(u32 idx) { return workers_.at(idx); }
 
     /** @return the root (main-thread) shard. */
     CounterShard &root() { return root_; }
 
     /**
-     * Bind the calling thread to worker shard `idx`, so obs::shard()
-     * reaches it without knowing the worker index. Unbind by binding
+     * Bind the calling thread to task shard `idx`, so obs::shard()
+     * reaches it without knowing the task index. Unbind by binding
      * elsewhere or via enable(false)/thread exit.
      */
     void bindThread(u32 idx);
@@ -156,8 +159,9 @@ class Registry
     void bindThreadToRoot();
 
     /**
-     * Fold every worker shard into the root and clear the worker
-     * shards. Call after the workers joined (the task boundary).
+     * Fold every task shard into the root in index order and clear
+     * the task shards. Call after the workers joined (the task
+     * boundary).
      */
     void mergeWorkers();
 

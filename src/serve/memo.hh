@@ -15,12 +15,17 @@
  * fixed per simulation cell, so they live in the cell identity (the
  * BatchMemo instance) rather than in the key; LUT residency is the
  * only device state the paper's Figure-11 reload cost depends on.
- * The cache is shared across the pool's identical devices: residency
- * is in the key, so sharing is observationally identical to a
- * per-device table, with far fewer cold misses.
+ * Pool devices are therefore just a residency bit each, and one
+ * oracle PlutoDevice per cell executes every batch that runs: it
+ * takes on the dispatching device's residency first, so it charges
+ * exactly what that device would. One table serves the whole pool
+ * for the same reason: residency is in the key, so sharing is
+ * observationally identical to a per-device table, with far fewer
+ * cold misses.
  *
- * First occurrence executes the real device and records the bundle;
- * every later identical batch replays the deltas in O(1). The
+ * First occurrence executes the oracle device and records the
+ * bundle; every later identical batch replays the deltas in O(1),
+ * residency included. The
  * uncached path is retained as the always-available oracle
  * (`[service] memo = off`), and `memo = verify` re-executes a
  * deterministic 1-in-kVerifyEveryN sample of hits and aborts loudly

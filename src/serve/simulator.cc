@@ -34,7 +34,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <memory>
 
 #include "common/logging.hh"
 #include "obs/registry.hh"
@@ -56,11 +55,15 @@ namespace
  */
 constexpr const char *kCanonicalLut = "colorgrade";
 
-/** One pool device. */
+/**
+ * One pool device: its clocks, queue and LUT residency — the only
+ * device state a batch's charge depends on. The cell's one oracle
+ * PlutoDevice executes its batches.
+ */
 struct PoolDevice
 {
-    std::unique_ptr<runtime::PlutoDevice> dev;
-    runtime::LutHandle lut;
+    /** Canonical LUT loaded at dispatch (the Figure-11 reload bit). */
+    bool resident = false;
     /** FIFO queue handle into the cell's shared RequestPool. */
     RequestPool::Queue queue;
     /** In-service batch (empty when idle); grow-only capacity. */
@@ -81,6 +84,10 @@ struct PoolDevice
     double batchReloadNs = 0.0;
     double batchTfawNs = 0.0;
     double batchExecNs = 0.0;
+    /** Batches served per memo entry id: the end-of-run device
+     *  counter fold is bundle-delta x count in first-seen entry
+     *  order. */
+    std::vector<u64> entryCounts;
 };
 
 } // namespace
@@ -154,19 +161,23 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
     const std::vector<ClassDemand> &demand = cal->demands;
     const bool verified = cal->verified;
 
-    // ---- Device pool ----
+    // ---- Device pool: clocks, queues and residency bits. One
+    // oracle device, warmed once, executes every batch that is not
+    // replayed from the memo; it takes on the dispatching device's
+    // residency first, so it charges exactly what that device
+    // would. ----
     auto *tr = obs::tracer();
+    runtime::PlutoDevice oracle(variant_.config);
+    if (tr)
+        oracle.scheduler().setTraceLimit(4096);
+    const runtime::LutHandle lut = oracle.loadLut(kCanonicalLut);
+    oracle.lutOpTimedOnly(lut, 1, 1);
+    auto &placement = oracle.controller().lutPlacement(lut.reg);
+    const auto &sched = oracle.scheduler();
     std::vector<u64> tracks;
     std::vector<PoolDevice> pool(spec_.devices);
     for (auto &d : pool) {
-        d.dev = std::make_unique<runtime::PlutoDevice>(
-            variant_.config);
-        if (tr)
-            d.dev->scheduler().setTraceLimit(4096);
-        d.lut = d.dev->loadLut(kCanonicalLut);
-        // Warm the LUT residency, then zero the scheduler so busy
-        // time starts from the virtual epoch.
-        d.dev->lutOpTimedOnly(d.lut, 1, 1);
+        d.resident = placement.loaded;
         if (tr) {
             // One virtual-time track per pool device. Warmup commands
             // (the cold pluto.lut_load above) render at negative
@@ -174,21 +185,19 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
             const u64 track = tr->newVirtualTrack(
                 spec_.name + "/" + variant_.name + " dev" +
                 std::to_string(tracks.size()));
-            const TimeNs warmEnd = d.dev->scheduler().elapsed();
-            for (const auto &ev : d.dev->scheduler().trace())
+            for (const auto &ev : sched.trace())
                 tr->virtualSpan(track, "warmup/" + ev.name,
-                                ev.start - warmEnd,
+                                ev.start - sched.elapsed(),
                                 ev.end - ev.start);
             tracks.push_back(track);
         }
-        // Warmup commands (LUT load + first wave) are real device
-        // work: fold them into the counter hierarchy before the
-        // reset zeroes the scheduler for the serving epoch.
+        // Every pool device warms its LUT (load + first wave): real
+        // device work, folded into the counter hierarchy once per
+        // device.
         if (auto *sh = obs::shard())
-            sh->absorb("device", d.dev->stats().counters);
-        d.dev->resetStats();
+            sh->absorb("device", sched.stats());
     }
-    const u32 salp = pool.front().dev->salp();
+    const u32 salp = oracle.salp();
     // A request cannot occupy more lock-step lanes than the device
     // has; charging phantom lanes would inflate energy and tFAW
     // pressure for hardware that does not exist.
@@ -236,26 +245,18 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
     u64 memoHits = 0;
     u64 memoMisses = 0;
     u64 memoVerifyChecks = 0;
-    // Per-device occurrence count of each memo entry, indexed by
-    // entry id: the end-of-run device counter fold is
-    // bundle-delta x count in first-seen entry order.
-    std::vector<std::vector<u64>> entryCounts(pool.size());
-
     // Serve `n` queued requests (a same-class prefix) on `d` at
     // `now`; returns when the device frees.
     const auto startBatch = [&](PoolDevice &d, u32 n, TimeNs now) {
         const u32 cls = rpool.front(d.queue).cls;
         const ClassDemand &dem = demand[cls];
-        auto &placement =
-            d.dev->controller().lutPlacement(d.lut.reg);
 
         // Signature: class, batch size, and the LUT residency the
         // batch starts from — the only device state the charge
         // depends on (the paper's Figure-11 reload cost). The
         // variant descriptor and gang law are constant per cell, so
         // they live in the cell identity, not the key.
-        const u64 sig =
-            BatchMemo::signature(cls, n, placement.loaded);
+        const u64 sig = BatchMemo::signature(cls, n, d.resident);
         i64 idx = memo.find(sig);
         const bool miss = idx < 0;
         bool verifySample = false;
@@ -278,11 +279,12 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
         BatchBundle fresh;
         if (execute) {
             // Canonical epoch: every batch charges from a freshly
-            // zeroed scheduler, so the bundle is a pure function of
-            // the signature — FP rounding included — and a replay
-            // is bit-exact.
-            d.dev->resetStats();
-            const auto &sched = d.dev->scheduler();
+            // zeroed scheduler and the dispatching device's
+            // residency, so the bundle is a pure function of the
+            // signature — FP rounding included — and a replay is
+            // bit-exact.
+            placement.loaded = d.resident;
+            oracle.resetStats();
             // ceil(n / gang) lock-step wave groups through the
             // scheduler's batch fast path; full gangs occupy
             // gang*lanes SALP lanes, the remainder group only what
@@ -290,13 +292,12 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
             const u32 full = n / gang;
             const u32 rem = n % gang;
             if (full > 0)
-                d.dev->lutOpTimedOnly(d.lut, dem.waves * full,
+                oracle.lutOpTimedOnly(lut, dem.waves * full,
                                       gang * lanes);
             if (rem > 0)
-                d.dev->lutOpTimedOnly(d.lut, dem.waves,
-                                      rem * lanes);
+                oracle.lutOpTimedOnly(lut, dem.waves, rem * lanes);
             if (dem.hostNs > 0.0)
-                d.dev->hostWork(dem.hostNs * n);
+                oracle.hostWork(dem.hostNs * n);
             fresh.serviceNs = sched.elapsed();
             fresh.energyPj = sched.energyTotal();
             // Decompose the batch's service time for tail
@@ -328,16 +329,15 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
                       "cached bundle differs from the re-executed "
                       "oracle",
                       spec_.name.c_str(), variant_.name.c_str(),
-                      cls, n, placement.loaded ? 1 : 0);
+                      cls, n, d.resident ? 1 : 0);
         }
         const BatchBundle &b =
             (!miss && memoMode == sim::MemoMode::Off)
                 ? fresh
                 : memo.entry(static_cast<u32>(idx)).bundle;
-        // A replay must advance the residency state machine exactly
-        // as the execution it stands in for would have.
-        if (!execute)
-            placement.loaded = b.residentAfter;
+        // Executed or replayed, the batch leaves the device's LUT
+        // residency where the bundle recorded it.
+        d.resident = b.residentAfter;
 
         const TimeNs serviceNs = b.serviceNs;
         if (tr) {
@@ -368,14 +368,10 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
         d.batchTfawNs = b.tfawNs;
         d.batchExecNs =
             std::max(0.0, serviceNs - b.reloadNs - b.tfawNs);
-        {
-            auto &counts = entryCounts[static_cast<std::size_t>(
-                &d - pool.data())];
-            if (counts.size() <= static_cast<std::size_t>(idx))
-                counts.resize(static_cast<std::size_t>(idx) + 1,
-                              0);
-            ++counts[static_cast<std::size_t>(idx)];
-        }
+        const auto entry = static_cast<std::size_t>(idx);
+        if (d.entryCounts.size() <= entry)
+            d.entryCounts.resize(entry + 1, 0);
+        ++d.entryCounts[entry];
         d.inFlight.clear();
         d.inFlight.reserve(n);
         rpool.forEach(d.queue, n, [&](const Request &r) {
@@ -753,7 +749,8 @@ ServeSimulator::run(const Calibration *cal, EngineKind engine,
         // executed and replayed runs; this fold is bit-identical
         // across memo modes by construction.
         StatSet folded;
-        for (const auto &counts : entryCounts) {
+        for (const auto &d : pool) {
+            const auto &counts = d.entryCounts;
             folded.clear();
             for (std::size_t ei = 0; ei < counts.size(); ++ei) {
                 if (counts[ei] == 0)

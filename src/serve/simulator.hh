@@ -12,17 +12,26 @@
  *    number of canonical LUT-query waves (the wave time is measured
  *    on the same configuration), so serving charges flow through the
  *    real command scheduler.
- *  - A DevicePool holds `devices` PlutoDevice instances, each with a
- *    FIFO queue; arrivals dispatch to the least-loaded queue. Serving
- *    a batch of k same-class requests charges the device's scheduler
- *    via PlutoDevice::lutOpTimedOnly — i.e. the scheduler's batch
- *    fast path (QueryEngine::queryTimedOnlyBatch submitting one
+ *  - The pool holds `devices` entries, each only clocks, a FIFO
+ *    queue and one bit: whether the canonical LUT is resident, the
+ *    only device state a batch's charge depends on (the paper's
+ *    Figure-11 load/reload cost). Arrivals dispatch to the
+ *    least-loaded queue. One oracle PlutoDevice per cell, built from
+ *    the variant's configuration with the LUT loaded and warmed
+ *    once, executes every batch the memo does not replay (memo.hh):
+ *    it takes on the dispatching device's residency bit, then
+ *    charges a batch of k same-class requests through
+ *    PlutoDevice::lutOpTimedOnly — i.e. the scheduler's batch fast
+ *    path (QueryEngine::queryTimedOnlyBatch submitting one
  *    CommandScheduler::burst) — as ceil(k / gang) wave groups, where
  *    gang = max(1, device SALP / `lanes`) requests share one
  *    lock-step wave (Section 5.5 subarray-level parallelism). The
  *    serial host portion is charged per request. The batch's service
  *    time and energy are the scheduler's elapsed/energy deltas; they
- *    advance the global virtual clock.
+ *    advance the global virtual clock, and the residency the batch
+ *    leaves goes back into the pool entry. A cell thus holds one LUT
+ *    image whatever its pool size, so memory does not grow with
+ *    `devices`.
  *  - Batching therefore trades queueing delay for wave sharing: on a
  *    device with SALP headroom (salp > lanes) a full gang serves k
  *    requests in one wave group's time, raising capacity; without

@@ -249,9 +249,10 @@ TEST_P(BulkKernelWidths, BitPlaneMatchesScalarTranspose)
                 EXPECT_EQ((out[i / 8] >> (i % 8)) & 1,
                           (values[i] >> bit) & 1)
                     << "n " << n << " bit " << bit << " slot " << i;
-            if (n % 8)
+            if (n % 8) {
                 EXPECT_EQ(out[n / 8] >> (n % 8), 0)
                     << "tail bits must be zeroed";
+            }
         }
     }
 }

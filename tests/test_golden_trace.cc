@@ -8,6 +8,14 @@
  * controller hot paths must keep them byte-stable — any intended
  * model change shows up as a reviewable golden diff.
  *
+ * A second golden pins a whole serving cell: the deterministic
+ * service outputs (runs CSV, summary JSON, tail report, timeseries)
+ * and the device / serve counter fold of a multi-device pool with
+ * the memo off, for a residency-keeping (GMC) and a residency-
+ * destroying (GSA) design. Every batch there executes on the
+ * device model, so the file guards what the pool charges per
+ * device.
+ *
  * Regeneration: PLUTO_UPDATE_GOLDEN=1 ./test_golden_trace
  * rewrites tests/golden/ in the source tree (see tests/README.md).
  */
@@ -20,7 +28,11 @@
 #include <functional>
 #include <sstream>
 
+#include "common/digest.hh"
+#include "obs/registry.hh"
 #include "runtime/device.hh"
+#include "serve/metrics.hh"
+#include "serve/runner.hh"
 
 #ifndef PLUTO_GOLDEN_DIR
 #define PLUTO_GOLDEN_DIR "tests/golden"
@@ -130,17 +142,14 @@ goldenPath(const std::string &name)
     return std::string(PLUTO_GOLDEN_DIR) + "/" + name + ".golden";
 }
 
-class GoldenTrace : public ::testing::TestWithParam<std::size_t>
+/**
+ * Compare `got` against golden `name`, or rewrite the golden under
+ * PLUTO_UPDATE_GOLDEN (the test then reports SKIPPED).
+ */
+void
+expectGolden(const std::string &name, const std::string &got)
 {
-};
-
-TEST_P(GoldenTrace, MatchesCheckedInFile)
-{
-    const auto cases = goldenCases();
-    const GoldenCase &c = cases[GetParam()];
-    const std::string got = recordTrace(c.design, c.body);
-    const std::string path = goldenPath(c.name);
-
+    const std::string path = goldenPath(name);
     if (std::getenv("PLUTO_UPDATE_GOLDEN")) {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         ASSERT_TRUE(out) << "cannot write " << path;
@@ -156,9 +165,20 @@ TEST_P(GoldenTrace, MatchesCheckedInFile)
     std::ostringstream want;
     want << in.rdbuf();
     EXPECT_EQ(got, want.str())
-        << "instruction stream or timing model drifted from " << path
+        << "output drifted from " << path
         << "\nIf intended, regenerate with PLUTO_UPDATE_GOLDEN=1 and "
            "review the diff.";
+}
+
+class GoldenTrace : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(GoldenTrace, MatchesCheckedInFile)
+{
+    const auto cases = goldenCases();
+    const GoldenCase &c = cases[GetParam()];
+    expectGolden(c.name, recordTrace(c.design, c.body));
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, GoldenTrace,
@@ -188,6 +208,97 @@ TEST(GoldenTrace, RecordedProgramReplaysIdentically)
     replay.controller().execute(prog);
     EXPECT_DOUBLE_EQ(replay.stats().timeNs, rec.stats().timeNs);
     EXPECT_DOUBLE_EQ(replay.stats().energyPj, rec.stats().energyPj);
+}
+
+/** One open-loop serving cell; `design` is substituted per run. */
+constexpr const char *kServeScenario = R"(
+[scenario]
+name = golden_serve
+
+[device]
+memory = ddr4
+design = %s
+salp = 64
+
+[workload ColorGrade]
+elements = 1024
+tenant = 0
+slo_ms = 0.5
+
+[workload CRC-8]
+elements = 1024
+tenant = 1
+weight = 0.5
+slo_ms = 2
+
+[service pool]
+mode = open
+arrivals = poisson
+rate = %s
+duration_ms = 3
+policy = adaptive
+batch = 8
+devices = 5
+lanes = 16
+seed = 5
+memo = off
+slo_ms = 1
+timeseries_ms = 0.25
+)";
+
+/**
+ * Run the single-cell serving scenario on `design` and render every
+ * deterministic service output plus the device / serve counters.
+ */
+std::string
+serveOutputs(const char *design, const char *rate)
+{
+    char text[1024];
+    std::snprintf(text, sizeof(text), kServeScenario, design, rate);
+    std::string err;
+    const auto cfg = sim::SimConfig::parse(text, err);
+    EXPECT_TRUE(cfg) << err;
+    if (!cfg)
+        return {};
+
+    auto &reg = obs::Registry::get();
+    reg.enable(true);
+    reg.reset();
+    sim::RunOptions opt;
+    opt.threads = 1;
+    opt.deterministic = true;
+    const auto report = serve::ServiceRunner(*cfg).run(opt);
+    const auto counters = reg.snapshot().counters();
+    reg.enable(false);
+    reg.reset();
+
+    using Sink = serve::ServiceMetricsSink;
+    std::string out = "## design " + std::string(design) + "\n";
+    out += "## runs.csv\n" + Sink::renderCsv(*cfg, report.runs);
+    out += "## summary.json\n" +
+           Sink::renderJson(*cfg, report.runs, 0.0);
+    out += "## tail_report.json\n" +
+           Sink::renderTailReport(*cfg, report.runs);
+    out += "## timeseries.csv\n" +
+           Sink::renderTimeseriesCsv(*cfg, report.runs);
+    out += "## counters\n";
+    for (const auto &[path, value] : counters)
+        if (path.rfind("device/", 0) == 0 ||
+            path.rfind("serve/", 0) == 0)
+            out += path + " " + fmtDoubleExact(value) + "\n";
+    return out;
+}
+
+/**
+ * A five-device pool with the memo off executes every batch on the
+ * device model. GMC keeps its LUT resident across batches; GSA's
+ * destructive sweep leaves it unloaded, so every batch pays the
+ * reload. Service outputs and the counter fold are pinned for both.
+ */
+TEST(GoldenServe, PoolOutputsMatchCheckedInFile)
+{
+    expectGolden("serve_pool", serveOutputs("gmc", "60000") +
+                                   serveOutputs("gsa", "20000"));
 }
 
 } // namespace

@@ -4,8 +4,9 @@
  * absorption into the path hierarchy, the nested metrics JSON, the
  * Chrome trace-event export (parses, host spans nest per thread,
  * virtual-time tracks stay monotone), warnOnce() accounting — and
- * the load-bearing contract: --deterministic campaign outputs are
- * byte-identical with telemetry enabled vs disabled.
+ * the load-bearing contracts: --deterministic campaign outputs are
+ * byte-identical with telemetry enabled vs disabled, and the counter
+ * tree itself is byte-identical across worker thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -234,8 +235,9 @@ TEST(Tracer, VirtualTrackIsMonotoneAndLabeled)
         EXPECT_GE(ts, prev);
         prev = ts;
         ++n;
-        if (ev->find("ph")->asString() == "i")
+        if (ev->find("ph")->asString() == "i") {
             EXPECT_TRUE(ev->find("s")); // instants carry a scope
+        }
     }
     EXPECT_EQ(n, 3u);
 
@@ -652,28 +654,77 @@ TEST(Determinism, ServiceOutputsByteIdenticalWithTelemetry)
     EXPECT_TRUE(sawVirtual);
 }
 
+/**
+ * Render every deterministic side-band output one run of `cfg`
+ * leaves behind: the service CSV, tail report and timeseries, and
+ * the counter tree minus the `campaign/workers` gauge (the only
+ * entry that legitimately names the thread count).
+ */
+std::string
+serviceSidebandAfter(const sim::SimConfig &cfg, u32 threads)
+{
+    RegistryScope scope;
+    sim::RunOptions opt;
+    opt.threads = threads;
+    opt.deterministic = true;
+    const auto report = serve::ServiceRunner(cfg).run(opt);
+    std::string out =
+        serve::ServiceMetricsSink::renderCsv(cfg, report.runs) +
+        serve::ServiceMetricsSink::renderTailReport(cfg, report.runs) +
+        serve::ServiceMetricsSink::renderTimeseriesCsv(cfg,
+                                                       report.runs);
+    const std::string json = Registry::get().renderJson({});
+    std::size_t pos = 0;
+    while (pos < json.size()) {
+        std::size_t eol = json.find('\n', pos);
+        if (eol == std::string::npos)
+            eol = json.size();
+        const std::string line = json.substr(pos, eol - pos);
+        if (line.find("\"workers\":") == std::string::npos)
+            out += line + "\n";
+        pos = eol + 1;
+    }
+    return out;
+}
+
 TEST(Determinism, ServiceSidebandStableAcrossThreadCounts)
 {
-    const auto cfg = serviceScenario();
-    const serve::ServiceRunner runner(cfg);
-    Registry::get().enable(false);
-
-    sim::RunOptions one;
-    one.threads = 1;
-    one.deterministic = true;
-    sim::RunOptions four = one;
-    four.threads = 4;
-    const auto a = runner.run(one);
-    const auto b = runner.run(four);
-
-    EXPECT_EQ(serve::ServiceMetricsSink::renderCsv(cfg, a.runs),
-              serve::ServiceMetricsSink::renderCsv(cfg, b.runs));
-    EXPECT_EQ(
-        serve::ServiceMetricsSink::renderTailReport(cfg, a.runs),
-        serve::ServiceMetricsSink::renderTailReport(cfg, b.runs));
-    EXPECT_EQ(
-        serve::ServiceMetricsSink::renderTimeseriesCsv(cfg, a.runs),
-        serve::ServiceMetricsSink::renderTimeseriesCsv(cfg, b.runs));
+    // Many cells with fractional per-device counters (result-move
+    // and reload nanoseconds, busy time): the floating-point sums
+    // are order-sensitive, so a counter fold that followed the
+    // worker schedule would differ here in the last ulp.
+    std::string err;
+    const auto cfg = sim::SimConfig::parse(R"(
+[scenario]
+name = obs_fold
+[device]
+sweep design = gmc, gsa
+salp = 64
+[workload ColorGrade]
+elements = 2048
+tenant = 0
+[workload ImgBin]
+elements = 1024
+tenant = 1
+weight = 0.5
+[service sat]
+mode = open
+arrivals = poisson
+duration_ms = 1
+policy = adaptive
+batch = 8
+devices = 3
+lanes = 16
+seed = 3
+slo_ms = 1
+sweep rate = 2000, 4000, 8000, 16000, 32000, 64000
+)",
+                                           err);
+    ASSERT_TRUE(cfg) << err;
+    const std::string one = serviceSidebandAfter(*cfg, 1);
+    EXPECT_NE(one.find("\"result_move\""), std::string::npos);
+    EXPECT_EQ(one, serviceSidebandAfter(*cfg, 4));
+    EXPECT_EQ(one, serviceSidebandAfter(*cfg, 3));
 }
 
 } // namespace

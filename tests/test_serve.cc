@@ -146,8 +146,9 @@ TEST(LoadGen, PoissonIsSeededAndReproducible)
         EXPECT_EQ(ra[i].cls, rb[i].cls);
         ASSERT_LT(ra[i].cls, 2u);
         sawBoth[ra[i].cls] = true;
-        if (i)
+        if (i) {
             EXPECT_GT(ra[i].arriveNs, ra[i - 1].arriveNs);
+        }
         EXPECT_LE(ra[i].arriveNs, svc.durationMs * 1e6);
     }
     EXPECT_TRUE(sawBoth[0]);
