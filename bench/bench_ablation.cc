@@ -1,6 +1,6 @@
 /**
  * @file
- * Ablation studies over the design choices DESIGN.md calls out:
+ * Ablation studies over the model's calibrated design choices:
  *  1. LISA-RBM latency calibration -> the GSA : BSA slowdown;
  *  2. GMC activation-energy discount -> the BSA : GMC energy ratio;
  *  3. LUT partitioning degree -> Table 6-style 4-bit mul latency;

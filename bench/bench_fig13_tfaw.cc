@@ -37,7 +37,7 @@ main()
     std::printf("\nPaper reference: ~90%% at tFAW=50%% and ~80%% at "
                 "nominal. Our strict sliding-window enforcement at "
                 "16-subarray parallelism yields a larger penalty for "
-                "pure-LUT workloads; the monotonic shape holds "
-                "(see EXPERIMENTS.md).\n");
+                "pure-LUT workloads; the monotonic shape "
+                "holds.\n");
     return 0;
 }

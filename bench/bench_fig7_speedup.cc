@@ -49,6 +49,6 @@ main()
                 "BSA 713x, GMC 1413x (DDR4); 3DS ~1.38x higher. "
                 "Our CPU model is more charitable to the CPU, "
                 "compressing absolute ratios; orderings are "
-                "preserved (see EXPERIMENTS.md).\n");
+                "preserved (perfbench/README.md, paper_gap_x).\n");
     return 0;
 }

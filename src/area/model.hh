@@ -52,7 +52,7 @@ class AreaModel
      * normalization (Figure 8): the added area over the base die for
      * DDR4; for 3DS, the per-vault overhead the paper assumes
      * (4.4 mm^2 [11,48,67]) amortized over the vault count and 3D
-     * density advantage (see EXPERIMENTS.md for the calibration).
+     * density advantage.
      */
     AreaMm2 plutoOverheadArea(dram::MemoryKind kind,
                               core::Design d) const;

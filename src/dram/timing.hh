@@ -62,7 +62,7 @@ struct TimingParams
      * between neighboring subarrays (activation + linked-bitline
      * transfer + restore). Calibrated to 3x tRCD so that the
      * pLUTo-GSA : pLUTo-BSA slowdown matches the paper's ~2x
-     * (Figure 7; see DESIGN.md Section 4).
+     * (Figure 7).
      */
     TimeNs lisaRbm = 0.0;
     /** Average refresh interval (per-rank REF cadence). */
@@ -121,7 +121,7 @@ struct EnergyParams
      */
     PowerW backgroundPower = 0.0;
 
-    /** DDR4 preset (CACTI-7-anchored magnitudes, see DESIGN.md). */
+    /** DDR4 preset (CACTI-7-anchored magnitudes). */
     static EnergyParams ddr4();
     /** 3DS preset (rows are 32x smaller than DDR4's). */
     static EnergyParams hmc3ds();

@@ -1,6 +1,6 @@
 /**
  * @file
- * Synthetic MNIST substitute (see DESIGN.md): deterministic,
+ * Synthetic MNIST substitute (README, "NN mode"): deterministic,
  * procedurally drawn 28x28 8-bit digit images. Each digit class has
  * a coarse 7x7 stroke template that is upscaled with jitter, stroke
  * thickening and additive noise, producing MNIST-like inputs that

@@ -1,8 +1,7 @@
 /**
  * @file
  * obs::Histogram: a log-bucketed (HDR-style) latency histogram whose
- * merges are *exact*, unlike the P² streaming estimators in
- * common/stats — merging two histograms and then asking for p99
+ * merges are *exact*: merging two histograms and then asking for p99
  * yields bit-identical buckets to recording every sample into one
  * histogram, in any merge order. That is the property sharded
  * campaigns need: per-worker/per-shard digests fold at the

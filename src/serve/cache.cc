@@ -19,7 +19,9 @@ namespace
 // v4: batches charge from a canonical per-batch scheduler epoch
 // (batch-signature memoization), which moves outcomes by FP ulps
 // and drops inter-batch tFAW carry-in relative to v3.
-constexpr u32 kServeSchema = 4;
+// v5: the P² tenant fields are gone and the cell quantiles read the
+// latency histogram.
+constexpr u32 kServeSchema = 5;
 
 /** The scalar double fields of a ServiceOutcome, in JSON order. */
 struct Field
@@ -65,8 +67,6 @@ constexpr TenantField kTenantFields[] = {
     {"p99_ms", &TenantSummary::p99Ms},
     {"p999_ms", &TenantSummary::p999Ms},
     {"max_ms", &TenantSummary::maxMs},
-    {"p99_p2_ms", &TenantSummary::p99P2Ms},
-    {"p999_p2_ms", &TenantSummary::p999P2Ms},
     {"slo_ms", &TenantSummary::sloMs},
     {"slo_attainment", &TenantSummary::sloAttainment},
     {"slo_burn_rate", &TenantSummary::sloBurnRate},

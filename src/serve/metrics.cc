@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "common/emit.hh"
 #include "common/logging.hh"
@@ -72,6 +73,21 @@ setSlo(JsonValue &row, double sloMs, double target, u64 good,
             static_cast<unsigned long long>(violations));
     slo.set("attainment", attainment);
     slo.set("burn_rate", burn);
+}
+
+/** Fill the latency digest of `d` (a ServiceOutcome or a
+ *  TenantSummary) from histogram `h`. */
+template <typename Digest>
+void
+setDigest(Digest &d, const obs::Histogram &h)
+{
+    d.requests = h.count();
+    d.meanMs = h.mean();
+    d.p50Ms = h.quantile(0.50);
+    d.p95Ms = h.quantile(0.95);
+    d.p99Ms = h.quantile(0.99);
+    d.p999Ms = h.quantile(0.999);
+    d.maxMs = h.max();
 }
 
 /** attainment over tracked requests; 0 when nothing was tracked. */
@@ -157,7 +173,9 @@ ServiceMetrics::onArrival(TimeNs at)
 void
 ServiceMetrics::onQueueDepth(TimeNs at, u64 depth)
 {
-    queueDepth_.add(static_cast<double>(depth));
+    ++queueDepthSamples_;
+    queueDepthSum_ += depth;
+    queueDepthMax_ = std::max(queueDepthMax_, depth);
     series_.record(at, kColQueueDepth,
                    static_cast<double>(depth));
 }
@@ -178,11 +196,6 @@ ServiceMetrics::onComplete(const Request &r, TimeNs finishNs,
                            const PhaseBreakdownNs &ph)
 {
     const double ms = (finishNs - r.arriveNs) * 1e-6;
-    latencyMs_.add(ms);
-    tenantMs_[r.tenant].add(ms);
-    latHist_.add(ms);
-    tenantHist_[r.tenant].add(ms);
-
     Sample s;
     s.tenant = r.tenant;
     s.cls = r.cls;
@@ -204,42 +217,13 @@ ServiceMetrics::finish(u32 devices, TimeNs busyNs, double energyPj,
                        bool verified) const
 {
     ServiceOutcome out;
-    out.requests = latencyMs_.count();
-    out.batches = batches_;
-    out.meanBatch =
-        batches_ ? static_cast<double>(batchedRequests_) /
-                       static_cast<double>(batches_)
-                 : 0.0;
-    out.makespanMs = lastFinishNs_ * 1e-6;
-    out.throughputRps = lastFinishNs_ > 0.0
-                            ? static_cast<double>(out.requests) /
-                                  (lastFinishNs_ * 1e-9)
-                            : 0.0;
-    out.meanMs = latencyMs_.mean();
-    out.p50Ms = latencyMs_.p50();
-    out.p95Ms = latencyMs_.p95();
-    out.p99Ms = latencyMs_.p99();
-    out.p999Ms = latencyMs_.p999();
-    out.maxMs = latencyMs_.max();
-    out.meanQueueDepth = queueDepth_.mean();
-    out.maxQueueDepth = queueDepth_.max();
-    out.utilization =
-        lastFinishNs_ > 0.0 && devices > 0
-            ? busyNs / (static_cast<double>(devices) * lastFinishNs_)
-            : 0.0;
-    out.pjPerRequest =
-        out.requests ? energyPj / static_cast<double>(out.requests)
-                     : 0.0;
-    out.verified = verified;
-    out.latHist = latHist_;
-    out.sloMs = cfg_.sloMs;
-    out.sloTarget = cfg_.sloTarget;
-    out.tailQuantile = cfg_.tailQuantile;
-    out.seriesIntervalMs = cfg_.seriesIntervalMs;
 
-    // ---- Phase sums + SLO counting (one pass over the samples) ----
+    // ---- Latency histograms, phase sums and SLO counting: one pass
+    //      over the samples in completion order, so every sum (and
+    //      mean) is accumulated in the order the requests finished.
     struct TenantScratch
     {
+        obs::Histogram lat;
         double phaseMs[kPhaseCount] = {};
         double sloMs = 0.0;
         u64 sloGood = 0;
@@ -247,7 +231,9 @@ ServiceMetrics::finish(u32 devices, TimeNs busyNs, double energyPj,
     };
     std::map<u32, TenantScratch> scratch;
     for (const auto &s : samples_) {
+        out.latHist.add(s.latMs);
         TenantScratch &t = scratch[s.tenant];
+        t.lat.add(s.latMs);
         for (u32 i = 0; i < kPhaseCount; ++i) {
             out.phaseMs[i] += s.phaseMs[i];
             t.phaseMs[i] += s.phaseMs[i];
@@ -264,9 +250,39 @@ ServiceMetrics::finish(u32 devices, TimeNs busyNs, double energyPj,
             out.sloViolations += !good;
         }
     }
+    setDigest(out, out.latHist);
     out.sloAttainment = attainmentOf(out.sloGood, out.sloViolations);
     out.sloBurnRate =
         burnOf(out.sloGood, out.sloViolations, cfg_.sloTarget);
+
+    out.batches = batches_;
+    out.meanBatch =
+        batches_ ? static_cast<double>(batchedRequests_) /
+                       static_cast<double>(batches_)
+                 : 0.0;
+    out.makespanMs = lastFinishNs_ * 1e-6;
+    out.throughputRps = lastFinishNs_ > 0.0
+                            ? static_cast<double>(out.requests) /
+                                  (lastFinishNs_ * 1e-9)
+                            : 0.0;
+    out.meanQueueDepth =
+        queueDepthSamples_
+            ? static_cast<double>(queueDepthSum_) /
+                  static_cast<double>(queueDepthSamples_)
+            : 0.0;
+    out.maxQueueDepth = static_cast<double>(queueDepthMax_);
+    out.utilization =
+        lastFinishNs_ > 0.0 && devices > 0
+            ? busyNs / (static_cast<double>(devices) * lastFinishNs_)
+            : 0.0;
+    out.pjPerRequest =
+        out.requests ? energyPj / static_cast<double>(out.requests)
+                     : 0.0;
+    out.verified = verified;
+    out.sloMs = cfg_.sloMs;
+    out.sloTarget = cfg_.sloTarget;
+    out.tailQuantile = cfg_.tailQuantile;
+    out.seriesIntervalMs = cfg_.seriesIntervalMs;
 
     // ---- Tail blame: exact nearest-rank threshold on the samples,
     //      then (tenant, class) aggregation of everything at/above it.
@@ -304,32 +320,19 @@ ServiceMetrics::finish(u32 devices, TimeNs busyNs, double energyPj,
         }
     }
 
-    // ---- Per-tenant digests: histogram quantiles, P² cross-check.
-    for (const auto &[tenant, s] : tenantMs_) {
+    // ---- Per-tenant digests, tenant-ascending.
+    for (const auto &[tenant, sc] : scratch) {
         TenantSummary t;
         t.tenant = tenant;
-        t.requests = s.count();
-        t.meanMs = s.mean();
-        const obs::Histogram &h = tenantHist_.at(tenant);
-        t.p50Ms = h.quantile(0.50);
-        t.p95Ms = h.quantile(0.95);
-        t.p99Ms = h.quantile(0.99);
-        t.p999Ms = h.quantile(0.999);
-        t.maxMs = h.max();
-        t.p99P2Ms = s.p99();
-        t.p999P2Ms = s.p999();
-        const auto it = scratch.find(tenant);
-        if (it != scratch.end()) {
-            for (u32 i = 0; i < kPhaseCount; ++i)
-                t.phaseMs[i] = it->second.phaseMs[i];
-            t.sloMs = it->second.sloMs;
-            t.sloGood = it->second.sloGood;
-            t.sloViolations = it->second.sloViolations;
-            t.sloAttainment =
-                attainmentOf(t.sloGood, t.sloViolations);
-            t.sloBurnRate =
-                burnOf(t.sloGood, t.sloViolations, cfg_.sloTarget);
-        }
+        setDigest(t, sc.lat);
+        for (u32 i = 0; i < kPhaseCount; ++i)
+            t.phaseMs[i] = sc.phaseMs[i];
+        t.sloMs = sc.sloMs;
+        t.sloGood = sc.sloGood;
+        t.sloViolations = sc.sloViolations;
+        t.sloAttainment = attainmentOf(t.sloGood, t.sloViolations);
+        t.sloBurnRate =
+            burnOf(t.sloGood, t.sloViolations, cfg_.sloTarget);
         out.tenants.push_back(t);
     }
 
@@ -363,13 +366,12 @@ ServiceMetricsSink::csvColumns()
             "requests",        "batches",          "mean_batch",
             "throughput_rps",  "mean_ms",          "p50_ms",
             "p95_ms",          "p99_ms",           "p999_ms",
-            "max_ms",          "p99_p2_ms",        "p999_p2_ms",
-            "queue_wait_ms",   "batch_wait_ms",    "lut_reload_ms",
-            "tfaw_stall_ms",   "exec_ms",          "slo_ms",
-            "slo_good",        "slo_violations",   "slo_attainment",
-            "slo_burn_rate",   "mean_queue_depth", "max_queue_depth",
-            "utilization",     "pj_per_request",   "makespan_ms",
-            "verified"};
+            "max_ms",          "queue_wait_ms",    "batch_wait_ms",
+            "lut_reload_ms",   "tfaw_stall_ms",    "exec_ms",
+            "slo_ms",          "slo_good",         "slo_violations",
+            "slo_attainment",  "slo_burn_rate",    "mean_queue_depth",
+            "max_queue_depth", "utilization",      "pj_per_request",
+            "makespan_ms",     "verified"};
 }
 
 std::string
@@ -412,11 +414,7 @@ ServiceMetricsSink::renderCsv(const sim::SimConfig &cfg,
                     fmtNum("%.6f", r.out.p95Ms),
                     fmtNum("%.6f", r.out.p99Ms),
                     fmtNum("%.6f", r.out.p999Ms),
-                    fmtNum("%.6f", r.out.maxMs),
-                    // The overall digest is the P² stream itself, so
-                    // the cross-check columns repeat it.
-                    fmtNum("%.6f", r.out.p99Ms),
-                    fmtNum("%.6f", r.out.p999Ms)});
+                    fmtNum("%.6f", r.out.maxMs)});
         phaseCells(r.out.phaseMs, r.out.requests, row);
         row.insert(row.end(),
                    {fmtNum("%.6f", r.out.sloMs),
@@ -449,9 +447,7 @@ ServiceMetricsSink::renderCsv(const sim::SimConfig &cfg,
                          fmtNum("%.6f", t.p95Ms),
                          fmtNum("%.6f", t.p99Ms),
                          fmtNum("%.6f", t.p999Ms),
-                         fmtNum("%.6f", t.maxMs),
-                         fmtNum("%.6f", t.p99P2Ms),
-                         fmtNum("%.6f", t.p999P2Ms)});
+                         fmtNum("%.6f", t.maxMs)});
             phaseCells(t.phaseMs, t.requests, trow);
             trow.insert(trow.end(),
                         {fmtNum("%.6f", t.sloMs),
@@ -527,8 +523,6 @@ ServiceMetricsSink::renderJson(const sim::SimConfig &cfg,
                      static_cast<unsigned long long>(t.requests));
             setLatency(trow, "", t.meanMs, t.p50Ms, t.p95Ms,
                        t.p99Ms, t.p999Ms, t.maxMs);
-            trow.set("p99_p2_ms", t.p99P2Ms);
-            trow.set("p999_p2_ms", t.p999P2Ms);
             setPhases(trow, t.phaseMs);
             setSlo(trow, t.sloMs, r.out.sloTarget, t.sloGood,
                    t.sloViolations, t.sloAttainment, t.sloBurnRate);

@@ -11,8 +11,10 @@
  * configurable quantile, an exactly mergeable latency Histogram
  * (obs/histogram), a fixed-interval virtual-time series
  * (obs/timeseries) and SLO attainment/burn-rate when a [service]
- * slo_ms is configured. Per-tenant quantiles come from the mergeable
- * histograms; the legacy P² estimates stay as cross-check columns.
+ * slo_ms is configured. The per-request samples are the only latency
+ * record: finish() builds the cell's and each tenant's histogram from
+ * them, and every reported mean, max and quantile reads those
+ * histograms, so all quantiles share one nearest-rank estimator.
  *
  * Everything in a ServiceOutcome derives from the virtual clock and
  * the devices' command schedulers, so outcomes are bit-identical
@@ -25,11 +27,9 @@
 #ifndef PLUTO_SERVE_METRICS_HH
 #define PLUTO_SERVE_METRICS_HH
 
-#include <map>
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "obs/histogram.hh"
 #include "obs/timeseries.hh"
 #include "serve/loadgen.hh"
@@ -66,16 +66,13 @@ struct TenantSummary
     u32 tenant = 0;
     u64 requests = 0;
     double meanMs = 0.0;
-    /** Quantiles from the tenant's mergeable histogram (exact bucket
+    /** Quantiles from the tenant's latency histogram (exact bucket
      *  rank, <= 1/64 relative bucket width). */
     double p50Ms = 0.0;
     double p95Ms = 0.0;
     double p99Ms = 0.0;
     double p999Ms = 0.0;
     double maxMs = 0.0;
-    /** Legacy P² streaming estimates, kept as a cross-check. */
-    double p99P2Ms = 0.0;
-    double p999P2Ms = 0.0;
     /** Phase sums over the tenant's requests, ms (Phase order). */
     double phaseMs[kPhaseCount] = {};
     /** Tightest effective SLO among the tenant's requests, ms
@@ -134,7 +131,8 @@ struct ServiceOutcome
     double makespanMs = 0.0;
     /** Completed requests per second of virtual time. */
     double throughputRps = 0.0;
-    /** End-to-end latency digest (queueing + service), ms. */
+    /** End-to-end latency digest (queueing + service), ms, read
+     *  from latHist. */
     double meanMs = 0.0;
     double p50Ms = 0.0;
     double p95Ms = 0.0;
@@ -175,7 +173,8 @@ struct ServiceOutcome
     /** Virtual-time series window width echo, ms. */
     double seriesIntervalMs = 0.0;
 
-    /** Exactly mergeable end-to-end latency histogram, ms. */
+    /** Exactly mergeable end-to-end latency histogram, ms (the
+     *  source of the digest above). */
     obs::Histogram latHist;
     /** Tail-blame rows, (tenant, class)-ascending. */
     std::vector<TailGroup> tail;
@@ -258,7 +257,8 @@ class ServiceMetrics
                           double energyPj, bool verified) const;
 
   private:
-    /** One completed request, kept for the tail-blame pass. */
+    /** One completed request: the latency record that finish()
+     *  folds into every digest and the tail-blame table. */
     struct Sample
     {
         u32 tenant = 0;
@@ -270,13 +270,11 @@ class ServiceMetrics
     };
 
     MetricsConfig cfg_;
-    StreamSummary latencyMs_;
-    std::map<u32, StreamSummary> tenantMs_;
-    std::map<u32, obs::Histogram> tenantHist_;
-    obs::Histogram latHist_;
     std::vector<Sample> samples_;
     obs::TimeSeries series_;
-    StreamSummary queueDepth_;
+    u64 queueDepthSamples_ = 0;
+    u64 queueDepthSum_ = 0;
+    u64 queueDepthMax_ = 0;
     u64 batches_ = 0;
     u64 batchedRequests_ = 0;
     TimeNs lastFinishNs_ = 0.0;

@@ -11,8 +11,7 @@
  * (ciphertext = plaintext XOR keystream) executes *functionally* on
  * the device and is verified against the reference. VMPC's
  * data-dependent permutation updates cannot be expressed as static
- * bulk queries, so its query phase is timing-only (see DESIGN.md and
- * EXPERIMENTS.md).
+ * bulk queries, so its query phase is timing-only.
  */
 
 #include "workloads/workload.hh"

@@ -10,8 +10,9 @@
  * substitution for the paper's measured CPU/GPU/FPGA and simulated
  * PnM baselines; each workload documents its rates' derivation. Our
  * CPU model is charitable to the CPU relative to the paper's measured
- * baselines (see EXPERIMENTS.md), which compresses absolute speedups
- * while preserving orderings.
+ * baselines, which compresses absolute speedups while preserving
+ * orderings (perfbench/README.md's `paper_gap_x` measures by how
+ * much).
  */
 
 #ifndef PLUTO_WORKLOADS_WORKLOAD_HH

@@ -495,6 +495,7 @@ expectSameOutcome(const ServiceOutcome &a, const ServiceOutcome &b)
     EXPECT_EQ(a.throughputRps, b.throughputRps);
     EXPECT_EQ(a.meanMs, b.meanMs);
     EXPECT_EQ(a.p50Ms, b.p50Ms);
+    EXPECT_EQ(a.p95Ms, b.p95Ms);
     EXPECT_EQ(a.p99Ms, b.p99Ms);
     EXPECT_EQ(a.p999Ms, b.p999Ms);
     EXPECT_EQ(a.maxMs, b.maxMs);
@@ -539,9 +540,12 @@ expectSameOutcome(const ServiceOutcome &a, const ServiceOutcome &b)
     for (std::size_t i = 0; i < a.tenants.size(); ++i) {
         EXPECT_EQ(a.tenants[i].tenant, b.tenants[i].tenant);
         EXPECT_EQ(a.tenants[i].requests, b.tenants[i].requests);
+        EXPECT_EQ(a.tenants[i].meanMs, b.tenants[i].meanMs);
+        EXPECT_EQ(a.tenants[i].p50Ms, b.tenants[i].p50Ms);
+        EXPECT_EQ(a.tenants[i].p95Ms, b.tenants[i].p95Ms);
         EXPECT_EQ(a.tenants[i].p99Ms, b.tenants[i].p99Ms);
-        EXPECT_EQ(a.tenants[i].p99P2Ms, b.tenants[i].p99P2Ms);
-        EXPECT_EQ(a.tenants[i].p999P2Ms, b.tenants[i].p999P2Ms);
+        EXPECT_EQ(a.tenants[i].p999Ms, b.tenants[i].p999Ms);
+        EXPECT_EQ(a.tenants[i].maxMs, b.tenants[i].maxMs);
         EXPECT_EQ(a.tenants[i].sloMs, b.tenants[i].sloMs);
         EXPECT_EQ(a.tenants[i].sloGood, b.tenants[i].sloGood);
         EXPECT_EQ(a.tenants[i].sloViolations,
@@ -641,14 +645,23 @@ TEST(ServeSimulator, SkewedTenantsStayDeterministic)
     EXPECT_GT(a.tenants[0].requests, u.tenants[0].requests);
 }
 
+/** A latency digest's quantiles are ordered and bounded by its max. */
+template <typename Digest>
+void
+expectOrderedQuantiles(const Digest &d)
+{
+    EXPECT_LE(d.p50Ms, d.p95Ms);
+    EXPECT_LE(d.p95Ms, d.p99Ms);
+    EXPECT_LE(d.p99Ms, d.p999Ms);
+    EXPECT_LE(d.p999Ms, d.maxMs);
+}
+
 TEST(ServeSimulator, TenantRequestsSumToTotal)
 {
-    const auto out =
-        ServeSimulator(testVariant(),
-                       testService(sim::BatchPolicyKind::Immediate,
-                                   4000.0),
-                       twoClassMix())
-            .run();
+    const auto variant = testVariant();
+    const auto svc =
+        testService(sim::BatchPolicyKind::Immediate, 4000.0);
+    const auto out = ServeSimulator(variant, svc, twoClassMix()).run();
     ASSERT_EQ(out.tenants.size(), 2u);
     EXPECT_EQ(out.tenants[0].tenant, 0u);
     EXPECT_EQ(out.tenants[1].tenant, 3u);
@@ -657,6 +670,28 @@ TEST(ServeSimulator, TenantRequestsSumToTotal)
     // Per-tenant tails are bounded by the overall max.
     EXPECT_LE(out.tenants[0].p999Ms, out.maxMs + 1e-12);
     EXPECT_LE(out.tenants[1].p999Ms, out.maxMs + 1e-12);
+    expectOrderedQuantiles(out);
+    for (const auto &t : out.tenants)
+        expectOrderedQuantiles(t);
+
+    // With every class on one tenant, the cell digest and that
+    // tenant's digest come from the same samples and must agree.
+    auto oneTenant = twoClassMix();
+    for (auto &c : oneTenant)
+        c.tenant = 3;
+    const auto one = ServeSimulator(variant, svc, oneTenant).run();
+    ASSERT_EQ(one.tenants.size(), 1u);
+    const TenantSummary &t = one.tenants[0];
+    expectOrderedQuantiles(one);
+    expectOrderedQuantiles(t);
+    EXPECT_EQ(t.tenant, 3u);
+    EXPECT_EQ(t.requests, one.requests);
+    EXPECT_EQ(t.meanMs, one.meanMs);
+    EXPECT_EQ(t.p50Ms, one.p50Ms);
+    EXPECT_EQ(t.p95Ms, one.p95Ms);
+    EXPECT_EQ(t.p99Ms, one.p99Ms);
+    EXPECT_EQ(t.p999Ms, one.p999Ms);
+    EXPECT_EQ(t.maxMs, one.maxMs);
 }
 
 TEST(ServeSimulator, OverloadGrowsTailLatency)
@@ -723,10 +758,12 @@ TEST(ServeSimulator, PhasesPartitionLatencyAndSloPartitionsRequests)
         out.meanMs * static_cast<double>(out.requests);
     EXPECT_NEAR(phaseSum, totalMs, 1e-6 * std::max(1.0, totalMs));
 
-    // The mergeable histogram sees every completion and agrees with
-    // the exact streaming digest on the extremes.
+    // The latency digest reads the mergeable histogram, which sees
+    // every completion.
     EXPECT_EQ(out.latHist.count(), out.requests);
     EXPECT_EQ(out.latHist.max(), out.maxMs);
+    EXPECT_EQ(out.latHist.mean(), out.meanMs);
+    EXPECT_EQ(out.latHist.quantile(0.99), out.p99Ms);
 
     // SLO tracking partitions the request population.
     EXPECT_EQ(out.sloMs, 0.5);
@@ -966,8 +1003,6 @@ TEST(ServiceCache, RoundTripsOutcomesBitIdentically)
     t.p99Ms = 0.41;
     t.p999Ms = 0.51;
     t.maxMs = 0.61;
-    t.p99P2Ms = 0.42;
-    t.p999P2Ms = 0.52;
     t.phaseMs[1] = 0.07;
     t.phaseMs[4] = 2.0 / 3.0;
     t.sloMs = 2.0;
