@@ -1,5 +1,8 @@
 #include "pluto/lut_store.hh"
 
+#include <array>
+#include <cstring>
+
 #include "common/bitvec.hh"
 #include "common/logging.hh"
 
@@ -101,6 +104,10 @@ LutStore::materialize(LutPlacement &p)
     const u64 slots = elementsPerBytes(geom.rowBytes, width);
     const u64 image_bytes = p.lut.size() * geom.rowBytes;
 
+    // Bytes covered by whole element slots; a tail too short for a
+    // slot is left as it was.
+    const u64 covered = slots * width / 8;
+
     // Materialize the replicated element image, one LUT row at a
     // time, unless it exceeds the host-memory budget.
     p.materialized = image_bytes <= model_.materializeLimitBytes;
@@ -110,12 +117,30 @@ LutStore::materialize(LutPlacement &p)
         for (u32 r = 0; r < p.rowsPerPartition; ++r) {
             const u64 global =
                 static_cast<u64>(part) * p.rowsPerPartition + r;
-            const u64 elem = p.lut.at(global);
+            // Every supported width divides 32, so one packed 4-byte
+            // unit of element copies tiles the row.
+            std::array<u8, 4> unit{};
+            ElementView uv(unit, width);
+            for (u64 s = 0; s < uv.size(); ++s)
+                uv.set(s, p.lut.at(global));
             auto row = mod_.rowAt(sa.rowAt(p.baseRow + r));
-            ElementView view(row, width);
-            for (u64 s = 0; s < slots; ++s)
-                view.set(s, elem);
+            u64 b = 0;
+            for (; b + unit.size() <= covered; b += unit.size())
+                std::memcpy(row.data() + b, unit.data(), unit.size());
+            for (; b < covered; ++b)
+                row[b] = unit[b % unit.size()];
         }
+    }
+}
+
+void
+LutStore::restore(LutPlacement &p)
+{
+    PLUTO_ASSERT(p.materialized);
+    for (const auto &sa : p.partitions) {
+        auto &sub = mod_.subarrayAt(sa);
+        for (u32 r = 0; r < p.rowsPerPartition; ++r)
+            sub.row(p.baseRow + r); // clears the destroyed flag
     }
 }
 

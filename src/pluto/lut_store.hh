@@ -9,7 +9,8 @@
  * three loading methods the paper evaluates — first-time generation,
  * loading from memory (19.2 GB/s DDR4 channel) and loading from
  * secondary storage (7.5 GB/s M.2 SSD) — and tracks GSA's destructive
- * sweeps so a destroyed LUT is reloaded before its next query.
+ * sweeps so a destroyed LUT is reloaded (restored) before its next
+ * query.
  */
 
 #ifndef PLUTO_PLUTO_LUT_STORE_HH
@@ -126,18 +127,30 @@ class LutStore
     u32 size() const { return static_cast<u32>(placements_.size()); }
 
     /**
-     * (Re)load a placement's rows: write the replicated element image
+     * Load a placement's rows: write the replicated element image
      * into the module and charge the loading cost. Used at placement
-     * time and before each GSA query.
+     * time; GSA's per-query reloads go through restore() instead.
      */
     void load(LutPlacement &p, LutLoadMethod method);
 
     /**
-     * Rewrite the replicated row image without charging any cost
-     * (used when the query engine models an in-DRAM reload whose
-     * timing it charges itself, Table 1's LISA_RBM x N term).
+     * Write the replicated row image without charging any cost;
+     * load() calls it at placement time.
      */
     void materialize(LutPlacement &p);
+
+    /**
+     * Mark a materialized placement's rows valid again without
+     * writing any bytes and without charging any cost. The query
+     * engine uses it to model GSA's in-DRAM reload, whose timing it
+     * charges itself (Table 1's LISA_RBM x N term).
+     *
+     * Invariant: only materialize() writes a placement's rows, and
+     * dram::Subarray::destroyRow() only flags a row without altering
+     * its bytes, so a destroyed row still holds the image and
+     * re-validating it is equivalent to rewriting it.
+     */
+    void restore(LutPlacement &p);
 
     /** Minimum partitions needed for `lut` under geometry `g`. */
     static u32 partitionsFor(const Lut &lut, const dram::Geometry &g);

@@ -45,7 +45,7 @@ QueryEngine::chargeSweep(LutPlacement &p, u32 parallel)
         if (!traits_.reloadPerQuery)
             sched_.stats().inc("pluto.lut_reload.cold");
         if (p.materialized)
-            store_.materialize(p);
+            store_.restore(p);
         p.loaded = true;
         ++p.loadCount;
     }
@@ -196,7 +196,7 @@ QueryEngine::queryTimedOnlyBatch(LutPlacement &p, u32 parallel, u64 count)
     if (traits_.reloadPerQuery) {
         p.loadCount += reps;
         if (p.materialized)
-            store_.materialize(p); // idempotent; once for the batch
+            store_.restore(p); // idempotent; once for the batch
         p.loaded = true;
     }
     if (traits_.destructiveReads)

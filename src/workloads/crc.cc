@@ -9,9 +9,15 @@
  * cross-packet combination is a serial reduction that stays on the
  * CPU, which is why CRC shows the smallest pLUTo benefit
  * (Section 8.2's observation).
+ *
+ * Every packet's result is checked against a host reference CRC. The
+ * references are byte-table driven; their tables are built once from
+ * the bitwise polynomial steps, not taken from the device's LUTs.
  */
 
 #include "workloads/workload.hh"
+
+#include <array>
 
 #include "common/logging.hh"
 
@@ -37,42 +43,78 @@ packetByte(u64 p, u64 j, u64 seed)
     return static_cast<u8>(x);
 }
 
-/** Host reference CRC implementations (match the library LUTs). */
+/**
+ * Bitwise polynomial steps: shift the register eight times (one
+ * byte) with the generator's feedback. The same steps define the
+ * library LUTs; the host keeps its own copy so verification stays
+ * independent of the device's tables.
+ */
+u8
+crc8Byte(u8 crc)
+{
+    for (int k = 0; k < 8; ++k)
+        crc = static_cast<u8>((crc & 0x80) ? (crc << 1) ^ 0x07
+                                           : (crc << 1));
+    return crc;
+}
+
+u16
+crc16Byte(u16 crc)
+{
+    for (int k = 0; k < 8; ++k)
+        crc = static_cast<u16>((crc & 0x8000) ? (crc << 1) ^ 0x1021
+                                              : (crc << 1));
+    return crc;
+}
+
+u32
+crc32Byte(u32 crc)
+{
+    for (int k = 0; k < 8; ++k)
+        crc = (crc & 1) ? (crc >> 1) ^ 0xEDB88320u : (crc >> 1);
+    return crc;
+}
+
+/** 256-entry byte table: entry i is step(i << shift). */
+template <typename T>
+std::array<T, 256>
+byteTable(T (*step)(T), unsigned shift)
+{
+    std::array<T, 256> t{};
+    for (u32 i = 0; i < 256; ++i)
+        t[i] = step(static_cast<T>(i << shift));
+    return t;
+}
+
+/** Host reference CRCs: the standard byte-table recurrences. */
 u8
 refCrc8(u64 p, u64 seed)
 {
+    static const auto t8 = byteTable(crc8Byte, 0);
     u8 crc = 0;
-    for (u64 j = 0; j < packetBytes; ++j) {
-        crc = static_cast<u8>(crc ^ packetByte(p, j, seed));
-        for (int k = 0; k < 8; ++k)
-            crc = static_cast<u8>((crc & 0x80) ? (crc << 1) ^ 0x07
-                                               : (crc << 1));
-    }
+    for (u64 j = 0; j < packetBytes; ++j)
+        crc = t8[crc ^ packetByte(p, j, seed)];
     return crc;
 }
 
 u16
 refCrc16(u64 p, u64 seed)
 {
+    static const auto t16 = byteTable(crc16Byte, 8);
     u16 crc = 0xffff;
-    for (u64 j = 0; j < packetBytes; ++j) {
-        crc = static_cast<u16>(crc ^ (u16(packetByte(p, j, seed)) << 8));
-        for (int k = 0; k < 8; ++k)
-            crc = static_cast<u16>((crc & 0x8000) ? (crc << 1) ^ 0x1021
-                                                  : (crc << 1));
-    }
+    for (u64 j = 0; j < packetBytes; ++j)
+        crc = static_cast<u16>((crc << 8) ^
+                               t16[(crc >> 8) ^ packetByte(p, j, seed)]);
     return crc;
 }
 
 u32
 refCrc32(u64 p, u64 seed)
 {
+    static const auto t32 = byteTable(crc32Byte, 0);
     u32 crc = 0xffffffffu;
-    for (u64 j = 0; j < packetBytes; ++j) {
-        crc ^= packetByte(p, j, seed);
-        for (int k = 0; k < 8; ++k)
-            crc = (crc & 1) ? (crc >> 1) ^ 0xEDB88320u : (crc >> 1);
-    }
+    for (u64 j = 0; j < packetBytes; ++j)
+        crc = (crc >> 8) ^ t32[(crc ^ packetByte(p, j, seed)) & 0xff];
     return crc;
 }
 

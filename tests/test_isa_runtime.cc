@@ -299,6 +299,29 @@ TEST(LutLibrary, Crc8TableMatchesBitwiseDefinition)
         EXPECT_EQ(lut.at(i), ref(static_cast<u8>(i)));
 }
 
+TEST(LutLibrary, CrcLutsMatchCatalogueCheckValues)
+{
+    // The byte-table recurrences the CRC workloads lower onto the
+    // LUTs, run over the catalogue's check string.
+    LutLibrary lib;
+    const std::string msg = "123456789";
+    const auto &t8 = lib.get("crc8");
+    const auto &t16 = lib.get("crc16");
+    const auto &t32 = lib.get("crc32");
+    u64 crc8 = 0, crc16 = 0xffff, crc32 = 0xffffffff;
+    for (const unsigned char b : msg) {
+        crc8 = t8.at(crc8 ^ b);
+        crc16 = ((crc16 << 8) & 0xffff) ^ t16.at((crc16 >> 8) ^ b);
+        crc32 = (crc32 >> 8) ^ t32.at((crc32 ^ b) & 0xff);
+    }
+    EXPECT_EQ(crc8, 0xF4u);   // CRC-8 (poly 0x07, init 0)
+    EXPECT_EQ(crc16, 0x29B1u); // CRC-16/CCITT-FALSE
+    // CRC-32 (IEEE 802.3): the workload leaves the register without
+    // the final XOR.
+    EXPECT_EQ(crc32, 0x340BC6D9u);
+    EXPECT_EQ(crc32 ^ 0xffffffffu, 0xCBF43926u);
+}
+
 TEST(LutLibrary, QFormatMulMatchesFixedPoint)
 {
     LutLibrary lib;

@@ -284,6 +284,71 @@ TEST(EngineGsa, DestructiveReadsForceReload)
     EXPECT_GT(p.loadCount, loads0);
 }
 
+TEST(EngineGsa, ReloadRestoresIntactImage)
+{
+    // tiny geometry: 64 rows/subarray, so the 128-entry LUT spans two
+    // partitions.
+    for (const bool partitioned : {false, true}) {
+        SCOPED_TRACE(partitioned ? "partitioned" : "single partition");
+        const Lut lut = Lut::fromFunction(
+            "sq", partitioned ? 7 : 4, 8,
+            [](u64 x) { return (x * x + 3) & 0xff; });
+        const std::vector<dram::SubarrayAddress> subs =
+            partitioned ? std::vector<dram::SubarrayAddress>{{0, 2},
+                                                             {0, 3}}
+                        : std::vector<dram::SubarrayAddress>{{0, 2}};
+
+        dram::Module mod(Geometry::tiny());
+        dram::CommandScheduler sched(dram::TimingParams::ddr4_2400(),
+                                     dram::EnergyParams::ddr4());
+        ops::InDramOps ops(mod, sched);
+        LutStore store(mod, sched);
+        QueryEngine engine(mod, sched, ops, store, Design::Gsa);
+        auto &p = store.placement(store.place(lut, subs));
+
+        // A fresh placement (one materialize) of the same LUT, for
+        // comparison.
+        dram::Module fresh(Geometry::tiny());
+        dram::CommandScheduler freshSched(dram::TimingParams::ddr4_2400(),
+                                          dram::EnergyParams::ddr4());
+        LutStore(fresh, freshSched).place(lut, subs);
+
+        const dram::RowAddress src{0, 0, 0};
+        auto row = mod.rowAt(src);
+        ElementView view(row, 8);
+        Rng rng(5);
+        for (u64 s = 0; s < view.size(); ++s)
+            view.set(s, rng.below(lut.size()));
+
+        for (u32 k = 0; k < 4; ++k) {
+            const dram::RowAddress fast{0, 1, 2 * k}, emu{0, 1, 2 * k + 1};
+            engine.query(p, src, fast);
+            EXPECT_FALSE(mod.subarrayAt(subs[0]).rowValid(0));
+
+            // Reload through both timed-only paths; neither sweeps
+            // the rows physically, so the reloaded image stays put.
+            if (k % 2 == 0)
+                engine.queryTimedOnly(p, 1);
+            else
+                engine.queryTimedOnlyBatch(p, 1, 3);
+            for (const auto &sa : subs) {
+                for (u32 r = 0; r < p.rowsPerPartition; ++r) {
+                    EXPECT_TRUE(mod.subarrayAt(sa).rowValid(r)) << r;
+                    EXPECT_EQ(mod.readRow(sa.rowAt(r)),
+                              fresh.readRow(sa.rowAt(r)))
+                        << r;
+                }
+            }
+
+            // The timed-only sweep left the LUT marked destroyed; its
+            // rows are the reloaded image, so sweep them for real.
+            p.loaded = true;
+            engine.queryViaSweep(p, src, emu);
+            EXPECT_EQ(mod.readRow(fast), mod.readRow(emu));
+        }
+    }
+}
+
 TEST(EngineGmc, LutSurvivesQueries)
 {
     dram::Module mod(Geometry::tiny());

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "workloads/workload.hh"
 
 namespace pluto::workloads
@@ -41,16 +43,19 @@ testScale(const Workload &w)
     return 65536;
 }
 
-class AllWorkloads : public ::testing::TestWithParam<std::string>
+class AllWorkloads
+    : public ::testing::TestWithParam<std::tuple<std::string, Design>>
 {
 };
 
-TEST_P(AllWorkloads, VerifiesOnBsaDdr4)
+TEST_P(AllWorkloads, VerifiesOnDdr4)
 {
-    const auto w = makeWorkload(GetParam());
-    runtime::PlutoDevice dev(deviceConfig());
+    const auto &[name, design] = GetParam();
+    const auto w = makeWorkload(name);
+    runtime::PlutoDevice dev(deviceConfig(design));
     const auto res = w->run(dev, testScale(*w));
-    EXPECT_TRUE(res.verified) << w->name();
+    EXPECT_TRUE(res.verified) << w->name() << " on "
+                              << core::designName(design);
     EXPECT_GT(res.timeNs, 0.0);
     EXPECT_GT(res.energyPj, 0.0);
     EXPECT_GT(res.elements, 0u);
@@ -58,12 +63,18 @@ TEST_P(AllWorkloads, VerifiesOnBsaDdr4)
 
 INSTANTIATE_TEST_SUITE_P(
     Names, AllWorkloads,
-    ::testing::Values("CRC-8", "CRC-16", "CRC-32", "Salsa20", "VMPC",
-                      "ImgBin", "ColorGrade", "ADD4", "ADD8", "MUL4",
-                      "MUL8", "MUL16", "MULQ1.7", "BC4", "BC8",
-                      "Bitwise-AND", "Bitwise-XOR"),
+    ::testing::Combine(
+        ::testing::Values("CRC-8", "CRC-16", "CRC-32", "Salsa20", "VMPC",
+                          "ImgBin", "ColorGrade", "ADD4", "ADD8", "MUL4",
+                          "MUL8", "MUL16", "MULQ1.7", "BC4", "BC8",
+                          "Bitwise-AND", "Bitwise-XOR"),
+        ::testing::Values(Design::Bsa, Design::Gsa, Design::Gmc)),
     [](const auto &info) {
-        std::string n = info.param;
+        // "CRC-8" on pLUTo-GSA -> "CRC_8_GSA".
+        std::string n = std::get<0>(info.param) + "_" +
+                        std::string(core::designName(
+                                        std::get<1>(info.param)))
+                            .substr(6);
         for (auto &c : n)
             if (!isalnum(static_cast<unsigned char>(c)))
                 c = '_';
