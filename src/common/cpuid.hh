@@ -1,11 +1,14 @@
 /**
  * @file
- * Runtime SIMD dispatch for the bulk kernels.
+ * Runtime SIMD dispatch for the bulk kernels and the nn kernels.
  *
  * The bulk kernels (bitvec_bulk.cc) carry explicit SSSE3/AVX2 paths
  * compiled with per-function target attributes, so one binary runs
  * everywhere and picks the widest instruction set the machine
- * actually has. This header is the single source of that decision:
+ * actually has. The nn convolution and fully connected kernels
+ * (nn/layers.cc) compile one portable body twice, baseline and
+ * AVX2, and pick the copy the same way. This header is the single
+ * source of that decision:
  *
  *  - tier() returns the active tier, computed once: the detected CPU
  *    capability, downgraded to Scalar when the PLUTO_NO_SIMD
@@ -27,7 +30,7 @@
 namespace pluto::simd
 {
 
-/** Instruction-set tiers the bulk kernels dispatch over, widest
+/** Instruction-set tiers the kernels dispatch over, widest
  *  last. Comparable: a machine at tier T runs every path <= T. */
 enum class Tier : u8
 {

@@ -52,6 +52,10 @@ u64
 Rng::below(u64 bound)
 {
     PLUTO_ASSERT(bound > 0);
+    // A power of two divides 2^64: the rejection threshold below is
+    // 0 and `r % bound` is a mask, so skip both divisions.
+    if ((bound & (bound - 1)) == 0)
+        return next() & (bound - 1);
     // Rejection sampling to avoid modulo bias.
     const u64 threshold = (0 - bound) % bound;
     for (;;) {

@@ -12,6 +12,7 @@
 #include "common/logging.hh"
 #include "nn/pluto_qnn.hh"
 #include "obs/registry.hh"
+#include "obs/trace.hh"
 
 namespace pluto::nn
 {
@@ -220,25 +221,35 @@ NnRunner::run(const campaign::RunOptions &opt,
             u32 correct = 0;
             std::vector<u32> preds;
             preds.reserve(digits.size());
-            for (const auto &img : digits) {
-                preds.push_back(net.classify(img));
-                correct += preds.back() == img.label;
+            {
+                const obs::Tracer::Span span("nn.infer");
+                for (const auto &img : digits) {
+                    preds.push_back(net.classify(img));
+                    correct += preds.back() == img.label;
+                }
             }
-            const LeNet5 replay(spec.bits, spec.seed);
-            MnistSynth resynth(spec.seed);
             bool verified = true;
-            for (u32 k = 0; k < spec.images; ++k)
-                verified = verified &&
-                           replay.classify(resynth.image(
-                               digits[k].label)) == preds[k];
+            {
+                const obs::Tracer::Span span("nn.verify");
+                const LeNet5 replay(spec.bits, spec.seed);
+                MnistSynth resynth(spec.seed);
+                for (u32 k = 0; k < spec.images; ++k)
+                    verified = verified &&
+                               replay.classify(resynth.image(
+                                   digits[k].label)) == preds[k];
+            }
 
             // Cost path: charge the batch through the device's
             // query engine.
-            runtime::DeviceConfig cfg = ds.config;
-            cfg.arena = &arena;
-            runtime::PlutoDevice dev(cfg);
-            chargeBatch(dev, net, spec.images);
-            const auto st = dev.stats();
+            runtime::ExecStats st;
+            {
+                const obs::Tracer::Span span("nn.charge");
+                runtime::DeviceConfig cfg = ds.config;
+                cfg.arena = &arena;
+                runtime::PlutoDevice dev(cfg);
+                chargeBatch(dev, net, spec.images);
+                st = dev.stats();
+            }
             if (auto *sh = obs::shard()) {
                 sh->inc("nn/cells");
                 sh->add("nn/images",

@@ -25,8 +25,11 @@ i32 quantize4(i32 v, u32 shift);
 
 /**
  * Valid 2-D convolution: input C x H x W, kernels O x C x K x K
- * (flattened), output O x (H-K+1) x (W-K+1). Weights and
- * activations are expected already quantized.
+ * (flattened), output O x (H-K+1) x (W-K+1). Any shape with
+ * H, W >= K is accepted. Each output is the low 32 bits of the
+ * exact sum of products (wrapping arithmetic, never undefined), for
+ * any i32 weights and activations; quantized inputs never wrap.
+ * Dispatches on simd::tier() with identical results at every tier.
  */
 Tensor conv2dValid(const Tensor &in, const std::vector<i32> &kernels,
                    u32 out_ch, u32 k);
@@ -34,7 +37,11 @@ Tensor conv2dValid(const Tensor &in, const std::vector<i32> &kernels,
 /** 2x2 average pooling (floor division by 4). */
 Tensor avgPool2x2(const Tensor &in);
 
-/** Fully connected: out[o] = sum_i w[o*in+i] * x[i]. */
+/**
+ * Fully connected: out[o] = sum_i w[o*in+i] * x[i], for any input
+ * length, with the same result contract and dispatch as
+ * conv2dValid.
+ */
 std::vector<i32> fullyConnected(const std::vector<i32> &x,
                                 const std::vector<i32> &w, u32 out_n);
 

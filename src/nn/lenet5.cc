@@ -16,7 +16,7 @@ randomWeights(u64 n, u32 bits, Rng &rng)
     std::vector<i32> w(n);
     for (auto &v : w) {
         if (bits == 1) {
-            v = rng.below(2) ? 1 : -1;
+            v = static_cast<i32>(rng.below(2)) * 2 - 1; // {-1, +1}
         } else {
             v = static_cast<i32>(rng.below(16)) - 8; // [-8, 7]
         }
@@ -52,17 +52,15 @@ LeNet5::quantizeInput(const DigitImage &img) const
     return t;
 }
 
-Tensor
-LeNet5::requantize(const Tensor &t, u32 shift) const
+void
+LeNet5::requantize(std::vector<i32> &v, u32 shift) const
 {
-    Tensor out = t;
-    for (auto &v : out.data) {
+    for (auto &e : v) {
         if (bits_ == 1)
-            v = binarize(v);
+            e = binarize(e);
         else
-            v = quantize4(v, shift);
+            e = quantize4(e, shift);
     }
-    return out;
 }
 
 std::array<i32, 10>
@@ -72,30 +70,22 @@ LeNet5::infer(const DigitImage &img) const
 
     Tensor x = conv2dValid(in, conv1_, 6, 5); // 6 x 24 x 24
     x = avgPool2x2(x);                        // 6 x 12 x 12
-    x = requantize(x, 3);
+    requantize(x.data, 3);
 
     x = conv2dValid(x, conv2_, 16, 5); // 16 x 8 x 8
     x = avgPool2x2(x);                 // 16 x 4 x 4
-    x = requantize(x, 5);
+    requantize(x.data, 5);
 
-    std::vector<i32> flat(x.data.begin(), x.data.end()); // 256
+    std::vector<i32> flat = std::move(x.data); // 256
     // LeNet-5's canonical fc1 input is 400 (16 x 5 x 5); with valid
     // convolutions on 28x28 we reach 16 x 4 x 4 = 256 and pad the
     // remainder with zeros, preserving fc1's 400-wide MAC count.
     flat.resize(400, 0);
 
-    auto q = [&](std::vector<i32> v, u32 shift) {
-        for (auto &e : v) {
-            if (bits_ == 1)
-                e = binarize(e);
-            else
-                e = quantize4(e, shift);
-        }
-        return v;
-    };
-
-    std::vector<i32> h1 = q(fullyConnected(flat, fc1_, 120), 5);
-    std::vector<i32> h2 = q(fullyConnected(h1, fc2_, 84), 4);
+    std::vector<i32> h1 = fullyConnected(flat, fc1_, 120);
+    requantize(h1, 5);
+    std::vector<i32> h2 = fullyConnected(h1, fc2_, 84);
+    requantize(h2, 4);
     const std::vector<i32> logits = fullyConnected(h2, fc3_, 10);
 
     std::array<i32, 10> out{};

@@ -55,7 +55,8 @@ class LeNet5
 
   private:
     Tensor quantizeInput(const DigitImage &img) const;
-    Tensor requantize(const Tensor &t, u32 shift) const;
+    /** Binarize, or 4-bit quantize with `shift`, in place. */
+    void requantize(std::vector<i32> &v, u32 shift) const;
 
     u32 bits_;
     std::vector<i32> conv1_; // 6 x 1 x 5 x 5

@@ -447,6 +447,18 @@ TEST(Rng, BelowInRange)
         EXPECT_LT(rng.below(17), 17u);
 }
 
+TEST(Rng, BelowPowerOfTwoMatchesRejectionDraw)
+{
+    // The rejection path accepts the first draw for a power-of-two
+    // bound (threshold 0) and reduces it modulo the bound; the mask
+    // fast path must consume and return exactly the same values.
+    for (const u64 bound : {1ull, 2ull, 16ull, 1ull << 40, 1ull << 63}) {
+        Rng fast(bound), ref(bound);
+        for (int k = 0; k < 200; ++k)
+            ASSERT_EQ(fast.below(bound), ref.next() % bound) << bound;
+    }
+}
+
 TEST(Rng, UniformInRange)
 {
     Rng rng(2);

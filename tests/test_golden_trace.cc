@@ -16,6 +16,12 @@
  * device model, so the file guards what the pool charges per
  * device.
  *
+ * A third golden pins the host LeNet-5 reference: the logits of ten
+ * synthetic digits for both quantization widths and two weight
+ * seeds. The nn campaign's `verified` column only replays the same
+ * kernels, so a kernel that is consistently wrong passes it; this
+ * file does not.
+ *
  * Regeneration: PLUTO_UPDATE_GOLDEN=1 ./test_golden_trace
  * rewrites tests/golden/ in the source tree (see tests/README.md).
  */
@@ -29,6 +35,7 @@
 #include <sstream>
 
 #include "common/digest.hh"
+#include "nn/lenet5.hh"
 #include "obs/registry.hh"
 #include "runtime/device.hh"
 #include "serve/metrics.hh"
@@ -299,6 +306,32 @@ TEST(GoldenServe, PoolOutputsMatchCheckedInFile)
 {
     expectGolden("serve_pool", serveOutputs("gmc", "60000") +
                                    serveOutputs("gsa", "20000"));
+}
+
+/** Logits of ten synthetic digits per (bits, weight seed). */
+std::string
+lenetLogits()
+{
+    std::ostringstream out;
+    for (const u32 bits : {1u, 4u}) {
+        for (const u64 seed : {5ull, 17ull}) {
+            out << "## bits " << bits << " seed " << seed << "\n";
+            const nn::LeNet5 net(bits, seed);
+            nn::MnistSynth synth(60000);
+            for (const auto &img : synth.batch(10)) {
+                out << img.label << ":";
+                for (const i32 v : net.infer(img))
+                    out << " " << v;
+                out << "\n";
+            }
+        }
+    }
+    return out.str();
+}
+
+TEST(GoldenNn, LeNet5LogitsMatchCheckedInFile)
+{
+    expectGolden("lenet5_logits", lenetLogits());
 }
 
 } // namespace
