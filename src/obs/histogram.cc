@@ -11,6 +11,7 @@
 
 #include "common/digest.hh"
 #include "common/emit.hh"
+#include "common/logging.hh"
 
 namespace pluto::obs
 {
@@ -60,7 +61,7 @@ Histogram::addCount(double v, u64 n)
 {
     if (n == 0)
         return;
-    buckets_[bucketOf(v)] += n;
+    counts_.at(bucketOf(v)) += n;
     if (count_ == 0) {
         min_ = v;
         max_ = v;
@@ -77,8 +78,7 @@ Histogram::merge(const Histogram &other)
 {
     if (other.count_ == 0)
         return;
-    for (const auto &[idx, n] : other.buckets_)
-        buckets_[idx] += n;
+    other.forEachBucket([&](i32 idx, u64 n) { counts_.at(idx) += n; });
     if (count_ == 0) {
         min_ = other.min_;
         max_ = other.max_;
@@ -93,11 +93,31 @@ Histogram::merge(const Histogram &other)
 void
 Histogram::clear()
 {
-    buckets_.clear();
+    counts_.clear();
     count_ = 0;
     sum_ = 0.0;
     min_ = 0.0;
     max_ = 0.0;
+}
+
+i32
+Histogram::quantileBucket(double q) const
+{
+    if (count_ == 0)
+        return kUnderflowBucket;
+    q = std::clamp(q, 0.0, 1.0);
+    const u64 rank = std::max<u64>(
+        1, static_cast<u64>(
+               std::ceil(q * static_cast<double>(count_))));
+    u64 seen = 0;
+    i32 found = -1;
+    forEachBucket([&](i32 idx, u64 n) {
+        seen += n;
+        if (found < 0 && seen >= rank)
+            found = idx;
+    });
+    PLUTO_ASSERT(found >= 0); // counts always sum to count_
+    return found;
 }
 
 double
@@ -105,25 +125,23 @@ Histogram::quantile(double q) const
 {
     if (count_ == 0)
         return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    const u64 rank = std::max<u64>(
-        1, static_cast<u64>(
-               std::ceil(q * static_cast<double>(count_))));
-    u64 seen = 0;
-    for (const auto &[idx, n] : buckets_) {
-        seen += n;
-        if (seen < rank)
-            continue;
-        double rep;
-        if (idx == kUnderflowBucket)
-            rep = std::min(min_, 0.0);
-        else if (idx >= kOverflowBucket)
-            rep = max_;
-        else
-            rep = 0.5 * (bucketLo(idx) + bucketHi(idx));
-        return std::clamp(rep, min_, max_);
-    }
-    return max_; // unreachable: counts always sum to count_
+    const i32 idx = quantileBucket(q);
+    double rep;
+    if (idx == kUnderflowBucket)
+        rep = std::min(min_, 0.0);
+    else if (idx >= kOverflowBucket)
+        rep = max_;
+    else
+        rep = 0.5 * (bucketLo(idx) + bucketHi(idx));
+    return std::clamp(rep, min_, max_);
+}
+
+std::vector<std::pair<i32, u64>>
+Histogram::buckets() const
+{
+    std::vector<std::pair<i32, u64>> out;
+    forEachBucket([&](i32 idx, u64 n) { out.emplace_back(idx, n); });
+    return out;
 }
 
 void
@@ -134,11 +152,15 @@ Histogram::restoreDigest(double sum, double mn, double mx)
     max_ = mx;
 }
 
-void
+bool
 Histogram::restoreBucket(i32 idx, u64 n)
 {
-    buckets_[idx] += n;
+    if (idx < 0)
+        return false;
+    if (n > 0)
+        counts_.at(idx) += n;
     count_ += n;
+    return true;
 }
 
 std::string
@@ -150,13 +172,13 @@ Histogram::encodeJson() const
     out += ",\"max\":" + fmtDoubleExact(max());
     out += ",\"buckets\":[";
     bool first = true;
-    for (const auto &[idx, n] : buckets_) {
+    forEachBucket([&](i32 idx, u64 n) {
         if (!first)
             out += ",";
         first = false;
         out += "[" + std::to_string(idx) + "," + std::to_string(n) +
                "]";
-    }
+    });
     out += "]}";
     return out;
 }
@@ -179,10 +201,16 @@ Histogram::decodeJson(const JsonValue &v)
         if (!b.isArray() || b.size() != 2 || !b.at(0).isNumber() ||
             !b.at(1).isNumber())
             return false;
-        restoreBucket(static_cast<i32>(b.at(0).asNumber()),
-                      static_cast<u64>(b.at(1).asNumber()));
+        const double idx = b.at(0).asNumber();
+        const double n = b.at(1).asNumber();
+        // Range-check before the casts: casting an out-of-range
+        // double is undefined.
+        if (!(idx >= 0.0 && idx <= 2147483647.0) || !(n >= 0.0) ||
+            !(n < 18446744073709551616.0) ||
+            !restoreBucket(static_cast<i32>(idx), static_cast<u64>(n)))
+            return false;
     }
-    if (count_ != static_cast<u64>(count->asNumber()))
+    if (static_cast<double>(count_) != count->asNumber())
         return false;
     if (count_ > 0)
         restoreDigest(sum->asNumber(), mn->asNumber(),

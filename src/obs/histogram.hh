@@ -12,17 +12,19 @@
  * exponent selects the octave and the top kSubBits mantissa bits
  * select one of 64 linear sub-buckets inside it, so every bucket
  * spans at most a 1/64 relative width (quantile lookups are within
- * ~0.8% of the exact sample). Bucket counts are u64 and the sparse
- * bucket map is keyed by the derived index, so merge = per-key sum,
- * which is associative and commutative exactly. The `sum` field is a
+ * ~0.8% of the exact sample). Bucket counts are u64 keyed by the
+ * derived index, so merge = per-key sum, which is associative and
+ * commutative exactly. Regular buckets live in one dense array over
+ * the octaves seen so far (Slots), so recording a sample is an index
+ * computation and an add, not a tree lookup. The `sum` field is a
  * double and therefore order-sensitive at ulp level in general;
  * campaign folds always run in deterministic task order, so rendered
  * bytes stay stable anyway.
  *
- * Values <= 0 (and subnormals/NaN) land in a dedicated underflow
- * bucket; +/-inf in the overflow bucket. Quantile answers are bucket
- * midpoints clamped into [min, max], so they never leave the
- * observed range.
+ * Values <= 0 (-inf included), subnormals and NaN land in a
+ * dedicated underflow bucket; +inf in the overflow bucket. Quantile
+ * answers are bucket midpoints clamped into [min, max], so they never
+ * leave the observed range.
  */
 
 #ifndef PLUTO_OBS_HISTOGRAM_HH
@@ -30,7 +32,10 @@
 
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace pluto
@@ -49,8 +54,77 @@ class Histogram
     static constexpr int kSubBits = 6;
     /** Bucket of values <= 0, subnormal or NaN. */
     static constexpr i32 kUnderflowBucket = 0;
-    /** First bucket of +/-inf (biased exponent 0x7ff). */
+    /** Bucket of +inf (biased exponent 0x7ff). */
     static constexpr i32 kOverflowBucket = 0x7ff << kSubBits;
+
+    /**
+     * One T per bucket index (>= 0), the storage of a Histogram's
+     * counts and of per-bucket accumulators built beside one (the
+     * serve tail blame). Regular buckets sit in a dense array over
+     * whole octaves [base, base + n), grown an octave at a time in
+     * either direction; the underflow bucket is one slot and indices
+     * from kOverflowBucket up go to a small map (+inf only, unless a
+     * decoder restored more).
+     */
+    template <typename T>
+    class Slots
+    {
+      public:
+        /** @return the slot of bucket `idx`, materializing it. */
+        T &at(i32 idx)
+        {
+            if (idx == kUnderflowBucket)
+                return under_;
+            if (idx >= kOverflowBucket)
+                return over_[idx];
+            const i32 off = idx - base_;
+            if (off >= 0 && off < static_cast<i32>(dense_.size()))
+                return dense_[static_cast<std::size_t>(off)];
+            return grow(idx);
+        }
+
+        /** Visit every materialized slot, index-ascending:
+         *  fn(i32 idx, const T &slot). Untouched slots read T{}. */
+        template <typename Fn>
+        void forEach(Fn &&fn) const
+        {
+            fn(kUnderflowBucket, under_);
+            for (std::size_t i = 0; i < dense_.size(); ++i)
+                fn(base_ + static_cast<i32>(i), dense_[i]);
+            for (const auto &[idx, slot] : over_)
+                fn(idx, slot);
+        }
+
+        void clear() { *this = Slots{}; }
+
+      private:
+        /** Extend the dense range to whole octaves covering `idx`. */
+        T &grow(i32 idx)
+        {
+            PLUTO_ASSERT(idx > kUnderflowBucket &&
+                         idx < kOverflowBucket);
+            constexpr i32 kOctave = 1 << kSubBits;
+            const i32 lo = idx & ~(kOctave - 1);
+            if (dense_.empty()) {
+                base_ = lo;
+                dense_.resize(kOctave);
+            } else if (idx < base_) {
+                dense_.insert(dense_.begin(),
+                              static_cast<std::size_t>(base_ - lo),
+                              T{});
+                base_ = lo;
+            } else {
+                dense_.resize(
+                    static_cast<std::size_t>(lo + kOctave - base_));
+            }
+            return dense_[static_cast<std::size_t>(idx - base_)];
+        }
+
+        T under_{};
+        i32 base_ = 0;
+        std::vector<T> dense_;
+        std::map<i32, T> over_;
+    };
 
     /** Record one sample. */
     void add(double v) { addCount(v, 1); }
@@ -92,8 +166,22 @@ class Histogram
      */
     double quantile(double q) const;
 
-    /** @return the sparse bucket map (index -> count), key-ascending. */
-    const std::map<i32, u64> &buckets() const { return buckets_; }
+    /** @return the index of the bucket quantile(q) reads
+     *  (kUnderflowBucket when empty). */
+    i32 quantileBucket(double q) const;
+
+    /** Visit every non-empty bucket key-ascending: fn(idx, count). */
+    template <typename Fn>
+    void forEachBucket(Fn &&fn) const
+    {
+        counts_.forEach([&](i32 idx, u64 n) {
+            if (n)
+                fn(idx, n);
+        });
+    }
+
+    /** @return the non-empty (index, count) pairs, key-ascending. */
+    std::vector<std::pair<i32, u64>> buckets() const;
 
     /** @return the bucket index a value lands in. */
     static i32 bucketOf(double v);
@@ -120,11 +208,12 @@ class Histogram
     /** Restore the scalar digest of a non-empty histogram. */
     void restoreDigest(double sum, double mn, double mx);
 
-    /** Restore one bucket (adds `n` to the total count). */
-    void restoreBucket(i32 idx, u64 n);
+    /** Restore one bucket (adds `n` to the total count). @return
+     *  false for a negative index, which no value maps to. */
+    bool restoreBucket(i32 idx, u64 n);
 
   private:
-    std::map<i32, u64> buckets_;
+    Slots<u64> counts_;
     u64 count_ = 0;
     double sum_ = 0.0;
     double min_ = 0.0;

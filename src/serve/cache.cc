@@ -21,7 +21,9 @@ namespace
 // and drops inter-batch tFAW carry-in relative to v3.
 // v5: the P² tenant fields are gone and the cell quantiles read the
 // latency histogram.
-constexpr u32 kServeSchema = 5;
+// v6: the tail threshold is the latency histogram's quantile and the
+// tail set is every request in or above the threshold's bucket.
+constexpr u32 kServeSchema = 6;
 
 /** The scalar double fields of a ServiceOutcome, in JSON order. */
 struct Field
@@ -341,8 +343,9 @@ ServiceCacheCodec::encodeBinary(const ServiceOutcome &out,
     w.putF64(out.latHist.sum());
     w.putF64(out.latHist.min());
     w.putF64(out.latHist.max());
-    w.putU32(static_cast<u32>(out.latHist.buckets().size()));
-    for (const auto &[idx, n] : out.latHist.buckets()) {
+    const auto buckets = out.latHist.buckets();
+    w.putU32(static_cast<u32>(buckets.size()));
+    for (const auto &[idx, n] : buckets) {
         w.putU32(static_cast<u32>(idx));
         w.putU64(n);
     }
@@ -411,9 +414,9 @@ ServiceCacheCodec::decodeBinary(campaign::BinReader &r,
     for (u32 i = 0; i < buckets; ++i) {
         u32 idx;
         u64 n;
-        if (!r.getU32(idx) || !r.getU64(n))
+        if (!r.getU32(idx) || !r.getU64(n) ||
+            !out.latHist.restoreBucket(static_cast<i32>(idx), n))
             return false;
-        out.latHist.restoreBucket(static_cast<i32>(idx), n);
         restored += n;
     }
     if (restored != histCount)

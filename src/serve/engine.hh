@@ -13,10 +13,11 @@
  * bit-identical to the polling loop and independent of insertion
  * order (see tests/test_serve.cc).
  *
- * Both index structures use lazy deletion: superseded entries stay in
- * the heap and are discarded when they surface, validated against the
- * current device state. This keeps updates to a single O(log P) push
- * with no decrease-key machinery.
+ * The event queue uses lazy deletion: superseded entries stay in the
+ * heap and are discarded when they surface, validated against the
+ * current device state, so rescheduling is a single O(log P) push
+ * with no decrease-key machinery. The load index is exact instead: a
+ * winner tree whose size never exceeds 2·next_pow2(P) slots.
  */
 
 #ifndef PLUTO_SERVE_ENGINE_HH
@@ -104,67 +105,64 @@ class EventQueue
 };
 
 /**
- * Least-loaded device index: a lazy-deletion min-heap over
- * (load, device index) mirroring the polling loop's linear scan,
- * which picked the minimum queue+inFlight load and broke ties on the
- * lowest device index. Callers push a fresh entry on every load
- * change; stale entries are purged when they reach the top.
+ * Least-loaded device index: a winner tree over (load, device index)
+ * mirroring the polling loop's linear scan, which picked the minimum
+ * queue+inFlight load and broke ties on the lowest device index.
+ *
+ * The tree is one flat array of 2·L device ids, L = next_pow2(P):
+ * slot L + d is device d's leaf, slot i < L holds the winner of its
+ * children 2i and 2i+1, and slot 1 is the overall winner. Padding
+ * leaves (d >= P) carry the maximum load and the highest ids, so they
+ * never beat a real device. A left child's ids are all below its
+ * right sibling's, so "right wins only when strictly lighter" is the
+ * lowest-index tie-break.
  */
 class LoadIndex
 {
   public:
-    explicit LoadIndex(u32 devices) : load_(devices, 0)
+    explicit LoadIndex(u32 devices)
     {
-        // (0, 0), (0, 1), ... is already heap-ordered.
-        heap_.reserve(devices);
-        for (u32 d = 0; d < devices; ++d)
-            heap_.push_back(Entry{0, d});
+        PLUTO_ASSERT(devices > 0);
+        while (leaves_ < devices)
+            leaves_ <<= 1;
+        load_.assign(leaves_, 0);
+        for (u32 d = devices; d < leaves_; ++d)
+            load_[d] = ~u64{0};
+        tree_.assign(2 * static_cast<std::size_t>(leaves_), 0);
+        for (u32 d = 0; d < leaves_; ++d)
+            tree_[leaves_ + d] = d;
+        for (u32 i = leaves_ - 1; i >= 1; --i)
+            tree_[i] = winner(i);
     }
 
-    /** Record `dev`'s new queue+inFlight load. */
+    /** Record `dev`'s new queue+inFlight load: O(log P). */
     void update(u32 dev, u64 load)
     {
         load_[dev] = load;
-        heap_.push_back(Entry{load, dev});
-        std::push_heap(heap_.begin(), heap_.end(), Heavier{});
+        for (u32 i = (leaves_ + dev) >> 1; i >= 1; i >>= 1)
+            tree_[i] = winner(i);
     }
 
     /**
      * @return the device the linear scan would pick: minimum load,
-     * ties to the lowest index. Purges stale heap entries.
+     * ties to the lowest index.
      */
-    u32 leastLoaded()
-    {
-        for (;;) {
-            PLUTO_ASSERT(!heap_.empty());
-            const Entry top = heap_.front();
-            if (top.load == load_[top.dev])
-                return top.dev;
-            std::pop_heap(heap_.begin(), heap_.end(), Heavier{});
-            heap_.pop_back();
-        }
-    }
+    u32 leastLoaded() const { return tree_[1]; }
 
   private:
-    struct Entry
+    /** @return the winner of slot i's two children. */
+    u32 winner(u32 i) const
     {
-        u64 load = 0;
-        u32 dev = 0;
-    };
+        const u32 a = tree_[2 * i];
+        const u32 b = tree_[2 * i + 1];
+        return load_[b] < load_[a] ? b : a;
+    }
 
-    /** Strict-weak "dispatches later" order for the min-heap. */
-    struct Heavier
-    {
-        bool operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.load != b.load)
-                return a.load > b.load;
-            return a.dev > b.dev;
-        }
-    };
-
-    std::vector<Entry> heap_;
-    /** Authoritative current load per device. */
+    /** Leaf count: the smallest power of two >= the pool size. */
+    u32 leaves_ = 1;
+    /** Winner tree: slot 0 unused, slots [L, 2L) are the leaves. */
+    std::vector<u32> tree_;
+    /** Current load per leaf (padding leaves: the maximum). */
     std::vector<u64> load_;
 };
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
 
 #include "common/emit.hh"
 #include "common/logging.hh"
@@ -150,9 +151,11 @@ MetricsConfig::from(const sim::ServiceSpec &spec,
     c.seriesIntervalMs = spec.timeseriesMs;
     c.classSloMs.reserve(mix.size());
     c.classNames.reserve(mix.size());
+    c.classTenants.reserve(mix.size());
     for (const auto &m : mix) {
         c.classSloMs.push_back(m.sloMs > 0.0 ? m.sloMs : spec.sloMs);
         c.classNames.push_back(m.workload);
+        c.classTenants.push_back(m.tenant);
     }
     return c;
 }
@@ -162,6 +165,23 @@ ServiceMetrics::ServiceMetrics(MetricsConfig cfg)
       series_(std::max(cfg_.seriesIntervalMs, 1e-6) * 1e6,
               seriesSchema())
 {
+    const std::vector<u32> &owner = cfg_.classTenants;
+    std::vector<u32> ids = owner;
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    tenants_.resize(ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        tenants_[i].tenant = ids[i];
+
+    classes_.resize(owner.size());
+    for (u32 c = 0; c < owner.size(); ++c) {
+        classes_[c].tenantSlot = static_cast<u32>(
+            std::lower_bound(ids.begin(), ids.end(), owner[c]) -
+            ids.begin());
+        classes_[c].sloMs = c < cfg_.classSloMs.size()
+                                ? cfg_.classSloMs[c]
+                                : cfg_.sloMs;
+    }
 }
 
 void
@@ -195,17 +215,32 @@ void
 ServiceMetrics::onComplete(const Request &r, TimeNs finishNs,
                            const PhaseBreakdownNs &ph)
 {
+    PLUTO_ASSERT(r.cls < classes_.size());
+    ClassAcc &c = classes_[r.cls];
+    TenantAcc &t = tenants_[c.tenantSlot];
+    PLUTO_ASSERT(t.tenant == r.tenant);
     const double ms = (finishNs - r.arriveNs) * 1e-6;
-    Sample s;
-    s.tenant = r.tenant;
-    s.cls = r.cls;
-    s.latMs = ms;
-    for (u32 i = 0; i < kPhaseCount; ++i)
-        s.phaseMs[i] = ph.ns[i] * 1e-6;
-    s.sloMs = r.cls < cfg_.classSloMs.size()
-                  ? cfg_.classSloMs[r.cls]
-                  : cfg_.sloMs;
-    samples_.push_back(s);
+    latHist_.add(ms);
+    t.lat.add(ms);
+    TailSlot &tail = c.tail.at(obs::Histogram::bucketOf(ms));
+    ++tail.requests;
+    tail.latMs += ms;
+    for (u32 i = 0; i < kPhaseCount; ++i) {
+        const double phMs = ph.ns[i] * 1e-6;
+        phaseMs_[i] += phMs;
+        t.phaseMs[i] += phMs;
+        tail.phaseMs[i] += phMs;
+    }
+    if (c.sloMs > 0.0) {
+        // The tightest SLO among a tenant's classes is the one
+        // reported: mixed-SLO tenants show the strictest bound.
+        t.sloMs = t.sloMs > 0.0 ? std::min(t.sloMs, c.sloMs) : c.sloMs;
+        const bool good = ms <= c.sloMs;
+        t.sloGood += good;
+        t.sloViolations += !good;
+        sloGood_ += good;
+        sloViolations_ += !good;
+    }
 
     series_.record(finishNs, kColCompletions, 1.0);
     series_.record(finishNs, kColLatencyMs, ms);
@@ -217,40 +252,12 @@ ServiceMetrics::finish(u32 devices, TimeNs busyNs, double energyPj,
                        bool verified) const
 {
     ServiceOutcome out;
-
-    // ---- Latency histograms, phase sums and SLO counting: one pass
-    //      over the samples in completion order, so every sum (and
-    //      mean) is accumulated in the order the requests finished.
-    struct TenantScratch
-    {
-        obs::Histogram lat;
-        double phaseMs[kPhaseCount] = {};
-        double sloMs = 0.0;
-        u64 sloGood = 0;
-        u64 sloViolations = 0;
-    };
-    std::map<u32, TenantScratch> scratch;
-    for (const auto &s : samples_) {
-        out.latHist.add(s.latMs);
-        TenantScratch &t = scratch[s.tenant];
-        t.lat.add(s.latMs);
-        for (u32 i = 0; i < kPhaseCount; ++i) {
-            out.phaseMs[i] += s.phaseMs[i];
-            t.phaseMs[i] += s.phaseMs[i];
-        }
-        if (s.sloMs > 0.0) {
-            // The tightest SLO among a tenant's classes is the one
-            // reported: mixed-SLO tenants show the strictest bound.
-            t.sloMs = t.sloMs > 0.0 ? std::min(t.sloMs, s.sloMs)
-                                    : s.sloMs;
-            const bool good = s.latMs <= s.sloMs;
-            t.sloGood += good;
-            t.sloViolations += !good;
-            out.sloGood += good;
-            out.sloViolations += !good;
-        }
-    }
-    setDigest(out, out.latHist);
+    out.latHist = latHist_;
+    setDigest(out, latHist_);
+    for (u32 i = 0; i < kPhaseCount; ++i)
+        out.phaseMs[i] = phaseMs_[i];
+    out.sloGood = sloGood_;
+    out.sloViolations = sloViolations_;
     out.sloAttainment = attainmentOf(out.sloGood, out.sloViolations);
     out.sloBurnRate =
         burnOf(out.sloGood, out.sloViolations, cfg_.sloTarget);
@@ -284,52 +291,55 @@ ServiceMetrics::finish(u32 devices, TimeNs busyNs, double energyPj,
     out.tailQuantile = cfg_.tailQuantile;
     out.seriesIntervalMs = cfg_.seriesIntervalMs;
 
-    // ---- Tail blame: exact nearest-rank threshold on the samples,
-    //      then (tenant, class) aggregation of everything at/above it.
-    if (!samples_.empty()) {
-        std::vector<double> lat;
-        lat.reserve(samples_.size());
-        for (const auto &s : samples_)
-            lat.push_back(s.latMs);
-        std::sort(lat.begin(), lat.end());
-        const u64 n = lat.size();
-        const u64 rank = std::max<u64>(
-            1, static_cast<u64>(
-                   std::ceil(cfg_.tailQuantile *
-                             static_cast<double>(n))));
-        out.tailThresholdMs = lat[rank - 1];
-        std::map<std::pair<u32, u32>, TailGroup> groups;
-        for (const auto &s : samples_) {
-            if (s.latMs < out.tailThresholdMs)
+    // ---- Tail blame: the threshold is the histogram's quantile, the
+    //      tail every request in or above its bucket; (tenant, class)
+    //      rows sum their classes' buckets from the cut up.
+    if (!latHist_.empty()) {
+        out.tailThresholdMs = latHist_.quantile(cfg_.tailQuantile);
+        const i32 cut = latHist_.quantileBucket(cfg_.tailQuantile);
+        // Rows go (tenant, class)-ascending.
+        std::vector<u32> order(classes_.size());
+        std::iota(order.begin(), order.end(), 0u);
+        std::stable_sort(order.begin(), order.end(),
+                         [&](u32 a, u32 b) {
+                             return classes_[a].tenantSlot <
+                                    classes_[b].tenantSlot;
+                         });
+        for (const u32 cls : order) {
+            const ClassAcc &c = classes_[cls];
+            TailGroup g;
+            g.tenant = tenants_[c.tenantSlot].tenant;
+            g.cls = cls;
+            if (cls < cfg_.classNames.size())
+                g.workload = cfg_.classNames[cls];
+            c.tail.forEach([&](i32 idx, const TailSlot &slot) {
+                if (idx < cut || slot.requests == 0)
+                    return;
+                g.requests += slot.requests;
+                g.meanMs += slot.latMs;
+                for (u32 i = 0; i < kPhaseCount; ++i)
+                    g.phaseMs[i] += slot.phaseMs[i];
+            });
+            if (g.requests == 0)
                 continue;
-            ++out.tailRequests;
-            TailGroup &g = groups[{s.tenant, s.cls}];
-            g.tenant = s.tenant;
-            g.cls = s.cls;
-            if (g.workload.empty() &&
-                s.cls < cfg_.classNames.size())
-                g.workload = cfg_.classNames[s.cls];
-            ++g.requests;
-            g.meanMs += s.latMs;
-            for (u32 i = 0; i < kPhaseCount; ++i)
-                g.phaseMs[i] += s.phaseMs[i];
-        }
-        for (auto &[key, g] : groups) {
             g.meanMs /= static_cast<double>(g.requests);
+            out.tailRequests += g.requests;
             out.tail.push_back(std::move(g));
         }
     }
 
     // ---- Per-tenant digests, tenant-ascending.
-    for (const auto &[tenant, sc] : scratch) {
+    for (const TenantAcc &acc : tenants_) {
+        if (acc.lat.empty())
+            continue;
         TenantSummary t;
-        t.tenant = tenant;
-        setDigest(t, sc.lat);
+        t.tenant = acc.tenant;
+        setDigest(t, acc.lat);
         for (u32 i = 0; i < kPhaseCount; ++i)
-            t.phaseMs[i] = sc.phaseMs[i];
-        t.sloMs = sc.sloMs;
-        t.sloGood = sc.sloGood;
-        t.sloViolations = sc.sloViolations;
+            t.phaseMs[i] = acc.phaseMs[i];
+        t.sloMs = acc.sloMs;
+        t.sloGood = acc.sloGood;
+        t.sloViolations = acc.sloViolations;
         t.sloAttainment = attainmentOf(t.sloGood, t.sloViolations);
         t.sloBurnRate =
             burnOf(t.sloGood, t.sloViolations, cfg_.sloTarget);

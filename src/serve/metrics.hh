@@ -6,15 +6,21 @@
  * v2 adds tail-latency attribution: every completed request carries a
  * phase breakdown on the virtual clock (queue wait behind a busy
  * device, policy batch wait, LUT reload, tFAW stall, execution), the
- * phases sum exactly to the end-to-end latency, and finish() folds
- * them into per-tenant aggregates, a tail-blame table above a
- * configurable quantile, an exactly mergeable latency Histogram
- * (obs/histogram), a fixed-interval virtual-time series
- * (obs/timeseries) and SLO attainment/burn-rate when a [service]
- * slo_ms is configured. The per-request samples are the only latency
- * record: finish() builds the cell's and each tenant's histogram from
- * them, and every reported mean, max and quantile reads those
- * histograms, so all quantiles share one nearest-rank estimator.
+ * phases sum exactly to the end-to-end latency, and onComplete folds
+ * them into per-tenant aggregates, per-class tail-blame sums, an
+ * exactly mergeable latency Histogram (obs/histogram), a
+ * fixed-interval virtual-time series (obs/timeseries) and SLO
+ * attainment/burn-rate when a [service] slo_ms is configured.
+ *
+ * Nothing is kept per request, so a cell's memory is
+ * O(tenants + classes x latency buckets + windows), not O(requests).
+ * Every reported mean, max and quantile reads a histogram, so all
+ * quantiles share one nearest-rank estimator. The tail-blame
+ * threshold is that estimator too: the tail is every request whose
+ * latency bucket is at or above the bucket holding the threshold
+ * rank, which the per-(class, bucket) sums answer exactly. Every
+ * other sum is accumulated in completion order; a tail row adds its
+ * buckets' completion-order sums in bucket order.
  *
  * Everything in a ServiceOutcome derives from the virtual clock and
  * the devices' command schedulers, so outcomes are bit-identical
@@ -93,7 +99,7 @@ struct TailGroup
     u32 tenant = 0;
     u32 cls = 0;
     std::string workload;
-    /** Requests of this group above the tail threshold. */
+    /** Requests of this group in the tail set. */
     u64 requests = 0;
     /** Mean end-to-end latency of those requests, ms. */
     double meanMs = 0.0;
@@ -164,11 +170,12 @@ struct ServiceOutcome
     u64 sloViolations = 0;
     double sloAttainment = 0.0;
     double sloBurnRate = 0.0;
-    /** Tail-blame cutoff echo and the exact nearest-rank threshold
-     *  it resolved to on this cell's latency samples. */
+    /** Tail-blame cutoff echo and the threshold it resolved to:
+     *  latHist.quantile(tailQuantile). */
     double tailQuantile = 0.0;
     double tailThresholdMs = 0.0;
-    /** Requests at/above the threshold (the blamed population). */
+    /** Requests in or above the threshold's histogram bucket (the
+     *  blamed population). */
     u64 tailRequests = 0;
     /** Virtual-time series window width echo, ms. */
     double seriesIntervalMs = 0.0;
@@ -215,6 +222,8 @@ struct MetricsConfig
     std::vector<double> classSloMs;
     /** Workload name per class (tail-report labels). */
     std::vector<std::string> classNames;
+    /** Tenant of each class's requests. */
+    std::vector<u32> classTenants;
 
     /** Resolve the knobs of one (spec, mix) cell. */
     static MetricsConfig from(const sim::ServiceSpec &spec,
@@ -246,7 +255,8 @@ class ServiceMetrics
                  TimeNs serviceNs);
 
     /** Record one completed request with its phase breakdown; the
-     *  phases must sum to finishNs - r.arriveNs. */
+     *  phases must sum to finishNs - r.arriveNs, and r.cls must be a
+     *  class of the config. */
     void onComplete(const Request &r, TimeNs finishNs,
                     const PhaseBreakdownNs &ph);
 
@@ -257,20 +267,45 @@ class ServiceMetrics
                           double energyPj, bool verified) const;
 
   private:
-    /** One completed request: the latency record that finish()
-     *  folds into every digest and the tail-blame table. */
-    struct Sample
+    /** Tail-blame sums of one (class, latency bucket). */
+    struct TailSlot
     {
-        u32 tenant = 0;
-        u32 cls = 0;
+        u64 requests = 0;
         double latMs = 0.0;
         double phaseMs[kPhaseCount] = {};
-        /** Effective SLO of the request, ms (0 = untracked). */
+    };
+
+    /** Running digest of one tenant. */
+    struct TenantAcc
+    {
+        u32 tenant = 0;
+        obs::Histogram lat;
+        double phaseMs[kPhaseCount] = {};
+        /** Tightest effective SLO among its completed requests. */
         double sloMs = 0.0;
+        u64 sloGood = 0;
+        u64 sloViolations = 0;
+    };
+
+    /** Per-class state, resolved once from the config. */
+    struct ClassAcc
+    {
+        /** Index into tenants_. */
+        u32 tenantSlot = 0;
+        /** Effective SLO of the class, ms (0 = untracked). */
+        double sloMs = 0.0;
+        obs::Histogram::Slots<TailSlot> tail;
     };
 
     MetricsConfig cfg_;
-    std::vector<Sample> samples_;
+    obs::Histogram latHist_;
+    double phaseMs_[kPhaseCount] = {};
+    u64 sloGood_ = 0;
+    u64 sloViolations_ = 0;
+    /** Tenant-ascending. */
+    std::vector<TenantAcc> tenants_;
+    /** Class index -> accumulators. */
+    std::vector<ClassAcc> classes_;
     obs::TimeSeries series_;
     u64 queueDepthSamples_ = 0;
     u64 queueDepthSum_ = 0;

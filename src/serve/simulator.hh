@@ -41,8 +41,9 @@
  *    completions and policy wake-ups flow through a timestamped
  *    binary heap ordered by (time, event kind, device index),
  *    arrivals stream from LoadGen, dispatch picks the least-loaded
- *    device through an indexed min-heap, and only devices whose
- *    queue state changed are re-offered to the batching policy —
+ *    device from a winner tree over the device loads, and only
+ *    devices whose queue state changed are re-offered to the
+ *    batching policy —
  *    O((R + E) log P) total, vs the O(R·P) polling loop it replaced
  *    (retained as EngineKind::LegacyPolling, the test oracle).
  *

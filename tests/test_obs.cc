@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -406,8 +408,9 @@ TEST(Histogram, EmptyAndSingleSampleEdges)
     Histogram e;
     e.add(0.0);
     e.add(-3.0);
-    ASSERT_EQ(e.buckets().count(Histogram::kUnderflowBucket), 1u);
-    EXPECT_EQ(e.buckets().at(Histogram::kUnderflowBucket), 2u);
+    const std::vector<std::pair<i32, u64>> only = {
+        {Histogram::kUnderflowBucket, 2}};
+    EXPECT_EQ(e.buckets(), only);
 }
 
 TEST(Histogram, JsonEncodingRoundTripsByteStably)
@@ -425,6 +428,86 @@ TEST(Histogram, JsonEncodingRoundTripsByteStably)
     EXPECT_EQ(back.encodeJson(), one);
     EXPECT_EQ(back.buckets(), h.buckets());
     EXPECT_EQ(back.quantile(0.5), h.quantile(0.5));
+}
+
+TEST(Histogram, DenseBucketsMatchASparseMapReference)
+{
+    // Edge values, values 40 octaves apart, and a walk that grows the
+    // dense range upward, then downward below its base.
+    const double sub = std::ldexp(1.0, -1060); // subnormal
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<double> values = {
+        1.0,  1.5,  3.0,  std::ldexp(1.0, 40), std::ldexp(1.7, 40),
+        0.0,  -1.0, std::nan(""), sub, inf, -inf,
+        std::ldexp(1.2, -40), 0.75, 1.0, std::ldexp(1.0, 40), inf};
+    Histogram h;
+    std::map<i32, u64> ref;
+    for (double v : values) {
+        h.add(v);
+        ++ref[Histogram::bucketOf(v)];
+    }
+    EXPECT_EQ(h.count(), values.size());
+
+    std::vector<std::pair<i32, u64>> visited;
+    h.forEachBucket(
+        [&](i32 idx, u64 n) { visited.emplace_back(idx, n); });
+    const std::vector<std::pair<i32, u64>> expect(ref.begin(),
+                                                  ref.end());
+    EXPECT_EQ(visited, expect);
+    EXPECT_EQ(h.buckets(), expect);
+
+    std::string tail = "\"buckets\":[";
+    for (auto it = ref.begin(); it != ref.end(); ++it) {
+        if (it != ref.begin())
+            tail += ",";
+        tail += "[" + std::to_string(it->first) + "," +
+                std::to_string(it->second) + "]";
+    }
+    tail += "]}";
+    const std::string json = h.encodeJson();
+    ASSERT_GE(json.size(), tail.size());
+    EXPECT_EQ(json.substr(json.size() - tail.size()), tail) << json;
+
+    // Decoding rejects bucket indices no value maps to (negative or
+    // beyond i32) instead of storing or casting them.
+    for (const char *bad :
+         {"{\"count\":1,\"sum\":1,\"min\":1,\"max\":1,"
+          "\"buckets\":[[-5,1]]}",
+          "{\"count\":1,\"sum\":1,\"min\":1,\"max\":1,"
+          "\"buckets\":[[1e12,1]]}",
+          "{\"count\":1,\"sum\":1,\"min\":1,\"max\":1,"
+          "\"buckets\":[[70000,-1]]}"}) {
+        std::string err;
+        const auto doc = JsonValue::parse(bad, err);
+        ASSERT_TRUE(doc) << err;
+        Histogram back;
+        EXPECT_FALSE(back.decodeJson(*doc)) << bad;
+    }
+
+    // Merges whose operand ranges reach below and above each
+    // other's base fold to the buckets of one recorder.
+    Histogram mid, wide, whole;
+    for (double v : {1.0, 2.0, 3.5}) {
+        mid.add(v);
+        whole.add(v);
+    }
+    for (double v : {std::ldexp(1.0, -20), std::ldexp(1.3, 20), 0.0,
+                     inf}) {
+        wide.add(v);
+        whole.add(v);
+    }
+    Histogram up = mid; // grows downward and upward
+    up.merge(wide);
+    Histogram down = wide; // fills inside the existing range
+    down.merge(mid);
+    EXPECT_EQ(up.buckets(), whole.buckets());
+    EXPECT_EQ(down.buckets(), whole.buckets());
+    EXPECT_EQ(up.count(), whole.count());
+    for (double q : {0.0, 0.2, 0.5, 0.8, 1.0}) {
+        EXPECT_EQ(up.quantile(q), whole.quantile(q));
+        EXPECT_EQ(up.quantileBucket(q), whole.quantileBucket(q));
+        EXPECT_EQ(down.quantile(q), whole.quantile(q));
+    }
 }
 
 TEST(Registry, HistogramsFoldExactlyAcrossWorkerShards)

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 #include "common/random.hh"
 #include "serve/cache.hh"
@@ -376,33 +377,57 @@ TEST(EventQueue, PopOrderIsInsertionOrderIndependent)
 
 TEST(LoadIndex, MatchesTheLinearScanOracle)
 {
-    // The heap-indexed dispatcher must pick exactly the device the
+    // The winner-tree dispatcher must pick exactly the device the
     // polling loop's linear scan picked (min load, ties to the
     // lowest index) across randomized arrival/completion traces.
-    for (const u32 devices : {1u, 3u, 8u, 64u}) {
+    // Non-power-of-two pools carry padding leaves; the middle phase
+    // drains every device back to load 0 so the whole pool ties.
+    for (const u32 devices : {1u, 3u, 5u, 8u, 63u, 64u, 65u, 257u}) {
         Rng rng(1000 + devices);
         LoadIndex index(devices);
         std::vector<u64> load(devices, 0);
-        for (int op = 0; op < 4000; ++op) {
-            if (rng.below(3) != 0) {
-                // Arrival: dispatch least-loaded, then load += 1.
-                u32 oracle = 0;
-                for (u32 d = 1; d < devices; ++d)
-                    if (load[d] < load[oracle])
-                        oracle = d;
-                const u32 picked = index.leastLoaded();
-                ASSERT_EQ(picked, oracle) << "op " << op;
-                ++load[picked];
-                index.update(picked, load[picked]);
-            } else {
-                // Completion: some device sheds a batch.
-                const u32 d = static_cast<u32>(rng.below(devices));
-                const u64 shed = std::min<u64>(
-                    load[d], 1 + rng.below(4));
-                load[d] -= shed;
-                index.update(d, load[d]);
+        const auto oracle = [&]() {
+            u32 best = 0;
+            for (u32 d = 1; d < devices; ++d)
+                if (load[d] < load[best])
+                    best = d;
+            return best;
+        };
+        const auto randomPhase = [&](int ops) {
+            for (int op = 0; op < ops; ++op) {
+                if (rng.below(3) != 0) {
+                    // Arrival: dispatch least-loaded, then load += 1.
+                    const u32 picked = index.leastLoaded();
+                    ASSERT_EQ(picked, oracle())
+                        << devices << " devices, op " << op;
+                    ++load[picked];
+                    index.update(picked, load[picked]);
+                } else {
+                    // Completion: some device sheds a batch.
+                    const u32 d = static_cast<u32>(rng.below(devices));
+                    const u64 shed = std::min<u64>(
+                        load[d], 1 + rng.below(4));
+                    load[d] -= shed;
+                    index.update(d, load[d]);
+                }
             }
+        };
+        randomPhase(4000);
+        // Drain in a shuffled order, checking after every update.
+        std::vector<u32> order(devices);
+        for (u32 d = 0; d < devices; ++d)
+            order[d] = d;
+        for (u32 i = devices; i > 1; --i)
+            std::swap(order[i - 1],
+                      order[static_cast<u32>(rng.below(i))]);
+        for (const u32 d : order) {
+            load[d] = 0;
+            index.update(d, 0);
+            ASSERT_EQ(index.leastLoaded(), oracle())
+                << devices << " devices, drained " << d;
         }
+        EXPECT_EQ(index.leastLoaded(), 0u);
+        randomPhase(4000);
     }
 }
 
@@ -820,6 +845,135 @@ TEST(ServeSimulator, GsaPaysLutReloadGmcDoesNot)
     const u32 reload = static_cast<u32>(Phase::LutReload);
     EXPECT_EQ(a.phaseMs[reload], 0.0);
     EXPECT_GT(b.phaseMs[reload], 0.0);
+}
+
+TEST(ServiceMetrics, StreamingTailMatchesTheRequestListOracle)
+{
+    // ServiceMetrics keeps no per-request record: the tail is every
+    // request whose latency bucket is at or above the bucket holding
+    // the threshold rank, answered from per-(class, bucket) sums.
+    // Check it against the full request list kept here, with a mass
+    // of ties inside one bucket where the threshold rank lands.
+    MetricsConfig cfg;
+    cfg.classTenants = {7, 2, 7, 9, 2};
+    cfg.classNames = {"a", "b", "c", "d", "e"};
+    cfg.classSloMs = {1.0, 0.0, 2.0, 0.5, 1.0};
+    cfg.sloMs = 1.0;
+
+    struct Done
+    {
+        u32 tenant, cls;
+        double latMs;
+        double phaseMs[kPhaseCount];
+    };
+    Rng rng(4242);
+    std::vector<Request> reqs;
+    std::vector<TimeNs> finish;
+    std::vector<PhaseBreakdownNs> phases;
+    for (u32 i = 0; i < 6000; ++i) {
+        Request r;
+        r.id = i;
+        r.cls = static_cast<u32>(rng.below(5));
+        r.tenant = cfg.classTenants[r.cls];
+        r.arriveNs = static_cast<double>(i) * 1000.0;
+        // 95% log-uniform over ~[0.01, 3] ms, 4% tied within the
+        // [4, 4.0625) ms bucket (where p99 falls), 1% near 8 ms.
+        const u64 kind = rng.below(100);
+        double ms;
+        if (kind < 95)
+            ms = 0.01 * std::pow(300.0, rng.uniform());
+        else if (kind < 99)
+            ms = 4.0 + 0.001 * static_cast<double>(rng.below(50));
+        else
+            ms = 8.0 + rng.uniform();
+        double w[kPhaseCount], wsum = 0.0;
+        for (double &x : w)
+            wsum += (x = rng.uniform() + 0.01);
+        PhaseBreakdownNs ph;
+        for (u32 p = 0; p < kPhaseCount; ++p)
+            ph.ns[p] = ms * 1e6 * w[p] / wsum;
+        reqs.push_back(r);
+        finish.push_back(r.arriveNs + ms * 1e6);
+        phases.push_back(ph);
+    }
+
+    for (const double q : {0.5, 0.9, 0.99}) {
+        cfg.tailQuantile = q;
+        ServiceMetrics m(cfg);
+        std::vector<Done> done;
+        obs::Histogram oracleHist;
+        for (std::size_t i = 0; i < reqs.size(); ++i) {
+            m.onComplete(reqs[i], finish[i], phases[i]);
+            Done d{reqs[i].tenant, reqs[i].cls,
+                   (finish[i] - reqs[i].arriveNs) * 1e-6, {}};
+            for (u32 p = 0; p < kPhaseCount; ++p)
+                d.phaseMs[p] = phases[i].ns[p] * 1e-6;
+            oracleHist.add(d.latMs);
+            done.push_back(d);
+        }
+        const ServiceOutcome out = m.finish(1, 0.0, 0.0, true);
+        const u64 n = done.size();
+        ASSERT_EQ(out.requests, n);
+
+        const i32 cut = oracleHist.quantileBucket(q);
+        EXPECT_EQ(out.tailThresholdMs, oracleHist.quantile(q));
+        std::map<std::pair<u32, u32>, Done> groups;
+        std::map<std::pair<u32, u32>, u64> counts;
+        u64 inTail = 0;
+        for (const Done &d : done) {
+            if (obs::Histogram::bucketOf(d.latMs) < cut)
+                continue;
+            ++inTail;
+            Done &g = groups.try_emplace({d.tenant, d.cls},
+                                         Done{d.tenant, d.cls, 0.0, {}})
+                          .first->second;
+            ++counts[{d.tenant, d.cls}];
+            g.latMs += d.latMs;
+            for (u32 p = 0; p < kPhaseCount; ++p)
+                g.phaseMs[p] += d.phaseMs[p];
+        }
+        EXPECT_EQ(out.tailRequests, inTail) << "q=" << q;
+        const u64 rank = static_cast<u64>(
+            std::ceil(q * static_cast<double>(n)));
+        EXPECT_GE(out.tailRequests, n - rank + 1) << "q=" << q;
+
+        // Rows come (tenant, class)-ascending with exact counts and
+        // sums that match the completion-order oracle to 1e-12.
+        ASSERT_EQ(out.tail.size(), groups.size()) << "q=" << q;
+        std::size_t row = 0;
+        for (const auto &[key, g] : groups) {
+            const TailGroup &t = out.tail[row++];
+            EXPECT_EQ(t.tenant, key.first);
+            EXPECT_EQ(t.cls, key.second);
+            EXPECT_EQ(t.workload, cfg.classNames[key.second]);
+            ASSERT_EQ(t.requests, counts[key]);
+            const double mean =
+                g.latMs / static_cast<double>(counts[key]);
+            EXPECT_NEAR(t.meanMs, mean, 1e-12 * mean);
+            for (u32 p = 0; p < kPhaseCount; ++p)
+                EXPECT_NEAR(t.phaseMs[p], g.phaseMs[p],
+                            1e-12 * g.phaseMs[p])
+                    << phaseName(p);
+        }
+        if (q == 0.99) {
+            EXPECT_EQ(out.tailThresholdMs, out.p99Ms);
+            // The tied bucket holds the threshold rank, so the whole
+            // bucket is blamed: more than the 1% above the rank.
+            EXPECT_GT(out.tailRequests, n - rank + 1);
+        }
+
+        // Tenants: dense slots come out tenant-ascending with the
+        // requests of all their classes.
+        ASSERT_EQ(out.tenants.size(), 3u);
+        EXPECT_EQ(out.tenants[0].tenant, 2u);
+        EXPECT_EQ(out.tenants[1].tenant, 7u);
+        EXPECT_EQ(out.tenants[2].tenant, 9u);
+        u64 tenantSum = 0;
+        for (const auto &t : out.tenants)
+            tenantSum += t.requests;
+        EXPECT_EQ(tenantSum, n);
+        EXPECT_EQ(out.tenants[2].sloMs, 0.5);
+    }
 }
 
 TEST(ServeSimulator, MemoModesAreBitIdenticalAcrossTheGrid)
