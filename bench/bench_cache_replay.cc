@@ -29,7 +29,7 @@ namespace
 constexpr u64 kEntries = 50000;
 
 using Cache =
-    campaign::JsonlCache<sim::CachedRun, sim::RunCacheCodec>;
+    campaign::JsonlCache<sim::CachedRun, sim::RunCacheTable>;
 
 double
 msSince(const std::chrono::steady_clock::time_point &t0)

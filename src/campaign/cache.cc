@@ -74,6 +74,60 @@ fnv1a32(const char *p, std::size_t n)
 } // namespace
 
 std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (const char c : s) {
+        if (c == '"' || c == '\\')
+            out += '\\';
+        out += c;
+    }
+    return out;
+}
+
+void
+putHistogram(BinWriter &w, const obs::Histogram &h)
+{
+    w.putU64(h.count());
+    w.putF64(h.sum());
+    w.putF64(h.min());
+    w.putF64(h.max());
+    const auto buckets = h.buckets();
+    w.putU32(static_cast<u32>(buckets.size()));
+    for (const auto &[idx, n] : buckets) {
+        w.putU32(static_cast<u32>(idx));
+        w.putU64(n);
+    }
+}
+
+bool
+getHistogram(BinReader &r, obs::Histogram &h)
+{
+    h.clear();
+    u64 count;
+    double sum, mn, mx;
+    u32 buckets;
+    if (!r.getU64(count) || !r.getF64(sum) || !r.getF64(mn) ||
+        !r.getF64(mx) || !r.getU32(buckets))
+        return false;
+    u64 restored = 0;
+    for (u32 i = 0; i < buckets; ++i) {
+        u32 idx;
+        u64 n;
+        if (!r.getU32(idx) || !r.getU64(n) ||
+            !h.restoreBucket(static_cast<i32>(idx), n))
+            return false;
+        restored += n;
+    }
+    if (restored != count)
+        return false;
+    if (count > 0)
+        h.restoreDigest(sum, mn, mx);
+    return true;
+}
+
+std::string
 loadJsonlCache(const std::string &path, u64 &corrupt,
                const std::function<bool(const std::string &key,
                                         const JsonValue &obj)> &onEntry)

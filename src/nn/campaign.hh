@@ -90,20 +90,23 @@ struct NnReport
     bool allVerified() const;
 };
 
-/** Cache codec of nn outcomes (see campaign/cache.hh). */
-struct NnCacheCodec
+/** Cache field table of nn outcomes (see campaign/cache.hh). */
+struct NnCacheTable
 {
     static constexpr const char *kKind = "nn";
-    static std::string encodeBody(const NnOutcome &out);
-    static bool decode(const JsonValue &obj, NnOutcome &out);
-    static void encodeBinary(const NnOutcome &out,
-                             campaign::BinWriter &w);
-    static bool decodeBinary(campaign::BinReader &r, NnOutcome &out);
+    static constexpr auto kFields = std::make_tuple(
+        campaign::field("images", &NnOutcome::images),
+        campaign::field("macs", &NnOutcome::macs),
+        campaign::field("time_ns", &NnOutcome::timeNs),
+        campaign::field("energy_pj", &NnOutcome::energyPj),
+        campaign::field("accuracy", &NnOutcome::accuracy),
+        campaign::field("verified", &NnOutcome::verified),
+        campaign::field("wall_ms", &NnOutcome::wallMs));
 };
 
 /** Append-only JSONL outcome cache for one scenario's nn runs. */
 class NnCache
-    : public campaign::JsonlCache<NnOutcome, NnCacheCodec>
+    : public campaign::JsonlCache<NnOutcome, NnCacheTable>
 {
   public:
     using JsonlCache::JsonlCache;

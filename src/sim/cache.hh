@@ -1,7 +1,7 @@
 /**
  * @file
  * RunCache: the batch scenario engine's content-addressed run cache —
- * a campaign::JsonlCache with the sim codec.
+ * a campaign::JsonlCache over the sim field table.
  *
  * Every (device config, workload, elements, seed, repeat) run is
  * identified by a content key over a canonical descriptor string
@@ -16,36 +16,34 @@
 
 #include "campaign/cache.hh"
 #include "runtime/device.hh"
+#include "workloads/workload.hh"
 
 namespace pluto::sim
 {
 
-/** One cached simulated outcome (mirrors WorkloadResult + wall). */
-struct CachedRun
+/** One cached simulated outcome: the workload result plus wall. */
+struct CachedRun : workloads::WorkloadResult
 {
-    u64 elements = 0;
-    double timeNs = 0.0;
-    double energyPj = 0.0;
-    double hostNs = 0.0;
-    bool verified = false;
     /** Host wall-clock of the run that computed the result. */
     double wallMs = 0.0;
 };
 
-/** Cache codec of batch-run outcomes (see campaign/cache.hh). */
-struct RunCacheCodec
+/** Cache field table of batch-run outcomes (see campaign/cache.hh). */
+struct RunCacheTable
 {
     static constexpr const char *kKind = "sim";
-    static std::string encodeBody(const CachedRun &run);
-    static bool decode(const JsonValue &obj, CachedRun &run);
-    static void encodeBinary(const CachedRun &run,
-                             campaign::BinWriter &w);
-    static bool decodeBinary(campaign::BinReader &r, CachedRun &run);
+    static constexpr auto kFields = std::make_tuple(
+        campaign::field("elements", &CachedRun::elements),
+        campaign::field("time_ns", &CachedRun::timeNs),
+        campaign::field("energy_pj", &CachedRun::energyPj),
+        campaign::field("host_ns", &CachedRun::hostNs),
+        campaign::field("verified", &CachedRun::verified),
+        campaign::field("wall_ms", &CachedRun::wallMs));
 };
 
 /** Append-only JSONL result cache for one scenario's batch runs. */
 class RunCache
-    : public campaign::JsonlCache<CachedRun, RunCacheCodec>
+    : public campaign::JsonlCache<CachedRun, RunCacheTable>
 {
   public:
     using JsonlCache::JsonlCache;

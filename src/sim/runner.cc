@@ -112,11 +112,7 @@ ScenarioRunner::run(const RunOptions &opt,
                 // cache is bit-identical to recomputation. The stored
                 // wall-clock is replayed too, keeping warm reruns
                 // byte-identical to the run that populated the cache.
-                rec.result.elements = hit->elements;
-                rec.result.timeNs = hit->timeNs;
-                rec.result.energyPj = hit->energyPj;
-                rec.result.hostNs = hit->hostNs;
-                rec.result.verified = hit->verified;
+                rec.result = *hit;
                 rec.wallMs = opt.deterministic ? 0.0 : hit->wallMs;
                 rec.fromCache = true;
                 return true;
@@ -153,14 +149,8 @@ ScenarioRunner::run(const RunOptions &opt,
                                     ev.end - ev.start);
             }
             if (cache) {
-                CachedRun c;
-                c.elements = rec.result.elements;
-                c.timeNs = rec.result.timeNs;
-                c.energyPj = rec.result.energyPj;
-                c.hostNs = rec.result.hostNs;
-                c.verified = rec.result.verified;
-                c.wallMs = rec.wallMs;
-                const std::string err = cache->append(key, c);
+                const std::string err =
+                    cache->append(key, {rec.result, rec.wallMs});
                 if (!err.empty())
                     warn("run cache: %s", err.c_str());
             }

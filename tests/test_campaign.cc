@@ -5,8 +5,11 @@
  * propagation), the JsonlCache version header (legacy files load,
  * future formats are rejected with a clear error), per-mode key
  * namespacing (equal descriptors cannot collide across modes in a
- * shared --cache-dir), and the NN campaign mode's sharded+cached
- * byte-identity — the properties every mode inherits from the core.
+ * shared --cache-dir), the per-mode cache field tables (every
+ * member round-trips in both encodings, checked-in fixture files
+ * re-encode byte for byte, out-of-range JSONL integers are corrupt),
+ * and the NN campaign mode's sharded+cached byte-identity — the
+ * properties every mode inherits from the core.
  */
 
 #include <gtest/gtest.h>
@@ -16,11 +19,14 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "campaign/cache.hh"
@@ -140,38 +146,20 @@ TEST(RunCampaign, CountsHitsAndZerosWallUnderDeterminism)
 
 // ---- JsonlCache format versioning ----
 
-/** Minimal outcome + codec for format tests. */
+/** Minimal outcome + one-row field table for format tests. */
 struct TinyOutcome
 {
     double value = 0.0;
 };
 
-struct TinyCodec
+struct TinyTable
 {
     static constexpr const char *kKind = "tiny";
-    static std::string encodeBody(const TinyOutcome &out)
-    {
-        return ",\"value\":" + fmtDoubleExact(out.value);
-    }
-    static bool decode(const JsonValue &obj, TinyOutcome &out)
-    {
-        const JsonValue *v = obj.find("value");
-        if (!v || !v->isNumber())
-            return false;
-        out.value = v->asNumber();
-        return true;
-    }
-    static void encodeBinary(const TinyOutcome &out, BinWriter &w)
-    {
-        w.putF64(out.value);
-    }
-    static bool decodeBinary(BinReader &r, TinyOutcome &out)
-    {
-        return r.getF64(out.value) && r.atEnd();
-    }
+    static constexpr auto kFields =
+        std::make_tuple(field("value", &TinyOutcome::value));
 };
 
-using TinyCache = JsonlCache<TinyOutcome, TinyCodec>;
+using TinyCache = JsonlCache<TinyOutcome, TinyTable>;
 
 TEST(JsonlCacheFormat, NewFilesLeadWithVersionHeader)
 {
@@ -366,57 +354,432 @@ TEST(BinaryCacheFormat, DuplicateHeadersFromRacingCreatorsAreSkipped)
     fs::remove_all(dir);
 }
 
+// ---- Every cached field of every mode, in both encodings ----
+
+/** Hands out a fresh non-default value per call. */
+struct Distinct
+{
+    u64 n = 100;
+    u64 next() { return ++n; }
+    double real() { return static_cast<double>(++n) / 3.0; }
+};
+
+sim::CachedRun
+everySimField(Distinct &v)
+{
+    sim::CachedRun run;
+    run.elements = 123456789ull + v.next();
+    run.timeNs = v.real();
+    run.energyPj = 2.5e300;
+    run.hostNs = 5e-324; // smallest subnormal
+    run.verified = true;
+    run.wallMs = v.real();
+    return run;
+}
+
+nn::NnOutcome
+everyNnField(Distinct &v)
+{
+    nn::NnOutcome out;
+    out.images = v.next();
+    out.macs = v.next();
+    out.timeNs = v.real();
+    out.energyPj = v.real();
+    out.accuracy = v.real();
+    out.verified = true;
+    out.wallMs = v.real();
+    return out;
+}
+
+serve::ServiceOutcome
+everyServeField(Distinct &v)
+{
+    serve::ServiceOutcome out;
+    out.requests = v.next();
+    out.batches = v.next();
+    out.meanBatch = v.real();
+    out.makespanMs = v.real();
+    out.throughputRps = v.real();
+    out.meanMs = v.real();
+    out.p50Ms = v.real();
+    out.p95Ms = v.real();
+    out.p99Ms = v.real();
+    out.p999Ms = v.real();
+    out.maxMs = v.real();
+    out.meanQueueDepth = 1e-310; // subnormal
+    out.maxQueueDepth = std::numeric_limits<double>::max();
+    out.utilization = v.real();
+    out.pjPerRequest = v.real();
+    out.verified = true;
+    for (double &p : out.phaseMs)
+        p = v.real();
+    out.phaseMs[0] = 7.5e-320; // subnormal phase sum
+    out.phaseMs[1] = 1.5e307;
+    out.sloMs = v.real();
+    out.sloTarget = v.real();
+    out.sloGood = v.next();
+    out.sloViolations = v.next();
+    out.sloAttainment = v.real();
+    out.sloBurnRate = v.real();
+    out.tailQuantile = v.real();
+    out.tailThresholdMs = v.real();
+    out.tailRequests = v.next();
+    out.seriesIntervalMs = v.real();
+    out.latHist.addCount(v.real(), 3);
+    out.latHist.add(v.real() * 1e3);
+    out.latHist.add(v.real() * 1e-3);
+    for (int i = 0; i < 2; ++i) {
+        serve::TailGroup g;
+        g.tenant = static_cast<u32>(v.next());
+        g.cls = static_cast<u32>(v.next());
+        g.workload = "CRC-8 \"q\\" + std::to_string(v.next());
+        g.requests = v.next();
+        g.meanMs = v.real();
+        for (double &p : g.phaseMs)
+            p = v.real();
+        out.tail.push_back(g);
+
+        serve::SeriesWindow w;
+        w.arrivals = v.next();
+        w.completions = v.next();
+        w.maxQueueDepth = v.real();
+        w.maxInFlight = v.real();
+        w.busyNs = v.real();
+        w.p50Ms = v.real();
+        w.p99Ms = v.real();
+        out.series.push_back(w);
+
+        serve::TenantSummary t;
+        t.tenant = static_cast<u32>(v.next());
+        t.requests = v.next();
+        t.meanMs = v.real();
+        t.p50Ms = v.real();
+        t.p95Ms = v.real();
+        t.p99Ms = v.real();
+        t.p999Ms = v.real();
+        t.maxMs = v.real();
+        for (double &p : t.phaseMs)
+            p = v.real();
+        t.sloMs = v.real();
+        t.sloGood = v.next();
+        t.sloViolations = v.next();
+        t.sloAttainment = v.real();
+        t.sloBurnRate = v.real();
+        out.tenants.push_back(t);
+    }
+    return out;
+}
+
+void
+expectSameSim(const sim::CachedRun &a, const sim::CachedRun &b)
+{
+    EXPECT_EQ(a.elements, b.elements);
+    EXPECT_EQ(a.timeNs, b.timeNs);
+    EXPECT_EQ(a.energyPj, b.energyPj);
+    EXPECT_EQ(a.hostNs, b.hostNs);
+    EXPECT_EQ(a.verified, b.verified);
+    EXPECT_EQ(a.wallMs, b.wallMs);
+}
+
+void
+expectSameNn(const nn::NnOutcome &a, const nn::NnOutcome &b)
+{
+    EXPECT_EQ(a.images, b.images);
+    EXPECT_EQ(a.macs, b.macs);
+    EXPECT_EQ(a.timeNs, b.timeNs);
+    EXPECT_EQ(a.energyPj, b.energyPj);
+    EXPECT_EQ(a.accuracy, b.accuracy);
+    EXPECT_EQ(a.verified, b.verified);
+    EXPECT_EQ(a.wallMs, b.wallMs);
+}
+
+void
+expectSamePhases(const double (&a)[serve::kPhaseCount],
+                 const double (&b)[serve::kPhaseCount])
+{
+    for (u32 p = 0; p < serve::kPhaseCount; ++p)
+        EXPECT_EQ(a[p], b[p]) << "phase " << p;
+}
+
+void
+expectSameServe(const serve::ServiceOutcome &a,
+                const serve::ServiceOutcome &b)
+{
+    EXPECT_EQ(a.requests, b.requests);
+    EXPECT_EQ(a.batches, b.batches);
+    EXPECT_EQ(a.meanBatch, b.meanBatch);
+    EXPECT_EQ(a.makespanMs, b.makespanMs);
+    EXPECT_EQ(a.throughputRps, b.throughputRps);
+    EXPECT_EQ(a.meanMs, b.meanMs);
+    EXPECT_EQ(a.p50Ms, b.p50Ms);
+    EXPECT_EQ(a.p95Ms, b.p95Ms);
+    EXPECT_EQ(a.p99Ms, b.p99Ms);
+    EXPECT_EQ(a.p999Ms, b.p999Ms);
+    EXPECT_EQ(a.maxMs, b.maxMs);
+    EXPECT_EQ(a.meanQueueDepth, b.meanQueueDepth);
+    EXPECT_EQ(a.maxQueueDepth, b.maxQueueDepth);
+    EXPECT_EQ(a.utilization, b.utilization);
+    EXPECT_EQ(a.pjPerRequest, b.pjPerRequest);
+    EXPECT_EQ(a.verified, b.verified);
+    expectSamePhases(a.phaseMs, b.phaseMs);
+    EXPECT_EQ(a.sloMs, b.sloMs);
+    EXPECT_EQ(a.sloTarget, b.sloTarget);
+    EXPECT_EQ(a.sloGood, b.sloGood);
+    EXPECT_EQ(a.sloViolations, b.sloViolations);
+    EXPECT_EQ(a.sloAttainment, b.sloAttainment);
+    EXPECT_EQ(a.sloBurnRate, b.sloBurnRate);
+    EXPECT_EQ(a.tailQuantile, b.tailQuantile);
+    EXPECT_EQ(a.tailThresholdMs, b.tailThresholdMs);
+    EXPECT_EQ(a.tailRequests, b.tailRequests);
+    EXPECT_EQ(a.seriesIntervalMs, b.seriesIntervalMs);
+    EXPECT_EQ(a.latHist.count(), b.latHist.count());
+    EXPECT_EQ(a.latHist.sum(), b.latHist.sum());
+    EXPECT_EQ(a.latHist.min(), b.latHist.min());
+    EXPECT_EQ(a.latHist.max(), b.latHist.max());
+    EXPECT_EQ(a.latHist.buckets(), b.latHist.buckets());
+    ASSERT_EQ(a.tail.size(), b.tail.size());
+    for (std::size_t i = 0; i < a.tail.size(); ++i) {
+        EXPECT_EQ(a.tail[i].tenant, b.tail[i].tenant);
+        EXPECT_EQ(a.tail[i].cls, b.tail[i].cls);
+        EXPECT_EQ(a.tail[i].workload, b.tail[i].workload);
+        EXPECT_EQ(a.tail[i].requests, b.tail[i].requests);
+        EXPECT_EQ(a.tail[i].meanMs, b.tail[i].meanMs);
+        expectSamePhases(a.tail[i].phaseMs, b.tail[i].phaseMs);
+    }
+    ASSERT_EQ(a.series.size(), b.series.size());
+    for (std::size_t i = 0; i < a.series.size(); ++i) {
+        EXPECT_EQ(a.series[i].arrivals, b.series[i].arrivals);
+        EXPECT_EQ(a.series[i].completions, b.series[i].completions);
+        EXPECT_EQ(a.series[i].maxQueueDepth, b.series[i].maxQueueDepth);
+        EXPECT_EQ(a.series[i].maxInFlight, b.series[i].maxInFlight);
+        EXPECT_EQ(a.series[i].busyNs, b.series[i].busyNs);
+        EXPECT_EQ(a.series[i].p50Ms, b.series[i].p50Ms);
+        EXPECT_EQ(a.series[i].p99Ms, b.series[i].p99Ms);
+    }
+    ASSERT_EQ(a.tenants.size(), b.tenants.size());
+    for (std::size_t i = 0; i < a.tenants.size(); ++i) {
+        const auto &x = a.tenants[i];
+        const auto &y = b.tenants[i];
+        EXPECT_EQ(x.tenant, y.tenant);
+        EXPECT_EQ(x.requests, y.requests);
+        EXPECT_EQ(x.meanMs, y.meanMs);
+        EXPECT_EQ(x.p50Ms, y.p50Ms);
+        EXPECT_EQ(x.p95Ms, y.p95Ms);
+        EXPECT_EQ(x.p99Ms, y.p99Ms);
+        EXPECT_EQ(x.p999Ms, y.p999Ms);
+        EXPECT_EQ(x.maxMs, y.maxMs);
+        expectSamePhases(x.phaseMs, y.phaseMs);
+        EXPECT_EQ(x.sloMs, y.sloMs);
+        EXPECT_EQ(x.sloGood, y.sloGood);
+        EXPECT_EQ(x.sloViolations, y.sloViolations);
+        EXPECT_EQ(x.sloAttainment, y.sloAttainment);
+        EXPECT_EQ(x.sloBurnRate, y.sloBurnRate);
+    }
+}
+
 TEST(BinaryCacheFormat, ModeCodecsRoundTripEveryFieldExactly)
 {
-    const auto dir = scratchDir("pluto_campaign_bin_codec_test");
+    // Every member holds its own non-default value, so a field left
+    // out of a mode's table (or read into the wrong member) fails.
+    Distinct v;
+    const auto run = everySimField(v);
+    const auto net = everyNnField(v);
+    const auto svc = everyServeField(v);
 
+    for (const CacheFormat fmt : {CacheFormat::Jsonl, CacheFormat::Binary}) {
+        SCOPED_TRACE(cacheFormatName(fmt));
+        const auto dir = scratchDir(std::string("pluto_campaign_codec_") +
+                                    cacheFormatName(fmt));
+        sim::RunCache simc(dir, "scn", fmt);
+        nn::NnCache nnc(dir, "scn", fmt);
+        serve::ServiceCache servec(dir, "scn", fmt);
+        ASSERT_TRUE(simc.append("k1", run).empty());
+        ASSERT_TRUE(nnc.append("k2", net).empty());
+        ASSERT_TRUE(servec.append("k3", svc).empty());
+
+        sim::RunCache simr(dir, "scn", fmt);
+        nn::NnCache nnr(dir, "scn", fmt);
+        serve::ServiceCache server(dir, "scn", fmt);
+        ASSERT_TRUE(simr.load().empty());
+        ASSERT_TRUE(nnr.load().empty());
+        ASSERT_TRUE(server.load().empty());
+        EXPECT_EQ(simr.corruptLines() + nnr.corruptLines() +
+                      server.corruptLines(),
+                  0u);
+        const auto r = simr.lookup("k1");
+        const auto n = nnr.lookup("k2");
+        const auto s = server.lookup("k3");
+        ASSERT_TRUE(r && n && s);
+        expectSameSim(*r, run);
+        expectSameNn(*n, net);
+        expectSameServe(*s, svc);
+        fs::remove_all(dir);
+    }
+}
+
+// ---- Cache files written before the field tables existed ----
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/** @return the entry keys of a cache file in file order. */
+std::vector<std::string>
+keysInFileOrder(const std::string &path, const std::string &kind,
+                CacheFormat fmt)
+{
+    std::vector<std::string> keys;
+    u64 corrupt = 0;
+    if (fmt == CacheFormat::Binary)
+        detail::loadBinaryCache(path, kind, corrupt,
+                                [&](const std::string &key, BinReader &) {
+                                    keys.push_back(key);
+                                    return true;
+                                });
+    else
+        detail::loadJsonlCache(
+            path, corrupt, [&](const std::string &key, const JsonValue &) {
+                keys.push_back(key);
+                return true;
+            });
+    return keys;
+}
+
+/**
+ * Load the checked-in `scenario` fixture of one mode in both
+ * encodings, then re-append every entry in file order to a fresh
+ * cache: the result must equal the fixture byte for byte. Write-then
+ * -read round trips cannot see a format drift that is consistent
+ * with itself; a file written by an older build can.
+ */
+template <typename Cache>
+void
+expectFixtureReencodesExactly(const std::string &scenario,
+                              const std::string &kind,
+                              std::size_t entries)
+{
+    for (const CacheFormat fmt : {CacheFormat::Jsonl, CacheFormat::Binary}) {
+        SCOPED_TRACE(cacheFormatName(fmt));
+        Cache fixture(std::string(PLUTO_GOLDEN_DIR) + "/cache/" +
+                          cacheFormatName(fmt),
+                      scenario, fmt);
+        ASSERT_TRUE(fixture.load().empty());
+        EXPECT_EQ(fixture.entries(), entries);
+        EXPECT_EQ(fixture.corruptLines(), 0u);
+
+        const auto dir = scratchDir("pluto_campaign_fixture_" + kind +
+                                    "_" + cacheFormatName(fmt));
+        Cache copy(dir, scenario, fmt);
+        const auto keys = keysInFileOrder(fixture.path(), kind, fmt);
+        ASSERT_EQ(keys.size(), entries);
+        for (const auto &key : keys) {
+            const auto out = fixture.lookup(key);
+            ASSERT_TRUE(out) << key;
+            ASSERT_TRUE(copy.append(key, *out).empty());
+        }
+        EXPECT_EQ(slurp(copy.path()), slurp(fixture.path()));
+        fs::remove_all(dir);
+    }
+}
+
+TEST(CacheFixtures, SimCacheReencodesByteForByte)
+{
+    expectFixtureReencodesExactly<sim::RunCache>("sweep_designs", "sim",
+                                                 18);
+}
+
+TEST(CacheFixtures, ServeCacheReencodesByteForByte)
+{
+    expectFixtureReencodesExactly<serve::ServiceCache>(
+        "service_saturation", "serve", 4);
+}
+
+TEST(CacheFixtures, NnCacheReencodesByteForByte)
+{
+    expectFixtureReencodesExactly<nn::NnCache>("nn_lenet5", "nn", 18);
+}
+
+// ---- JSONL integers out of their field's range ----
+
+/**
+ * Append `valid` to a fresh `Cache`, then one copy of its JSONL line
+ * per (from, to) text edit under a key of its own. Every edited line
+ * must load as corrupt; only the valid entry may survive.
+ */
+template <typename Cache, typename Outcome>
+void
+expectEditedLinesCorrupt(
+    const std::string &name, const Outcome &valid,
+    const std::vector<std::pair<std::string, std::string>> &edits)
+{
+    const auto dir = scratchDir("pluto_campaign_range_" + name);
+    Cache writer(dir, "range");
+    ASSERT_TRUE(writer.append("good", valid).empty());
+    const std::string text = slurp(writer.path());
+    const auto at = text.find("{\"key\":\"good\"");
+    ASSERT_NE(at, std::string::npos);
+    const std::string line = text.substr(at);
+    {
+        std::ofstream out(writer.path(), std::ios::binary | std::ios::app);
+        for (std::size_t i = 0; i < edits.size(); ++i) {
+            std::string bad = line;
+            const auto pos = bad.find(edits[i].first);
+            ASSERT_NE(pos, std::string::npos) << edits[i].first;
+            bad.replace(pos, edits[i].first.size(), edits[i].second);
+            bad.replace(bad.find("good"), 4, "bad" + std::to_string(i));
+            out << bad;
+        }
+    }
+    Cache reader(dir, "range");
+    ASSERT_TRUE(reader.load().empty());
+    EXPECT_EQ(reader.entries(), 1u);
+    EXPECT_EQ(reader.corruptLines(), edits.size());
+    EXPECT_TRUE(reader.lookup("good"));
+    fs::remove_all(dir);
+}
+
+TEST(JsonlCacheFormat, OutOfRangeIntegersAreCorruptInEveryMode)
+{
+    // Negative, huge, fractional and too-wide values used to load
+    // through an unchecked double -> integer cast.
     sim::CachedRun run;
-    run.elements = 123456789ull;
-    run.timeNs = 1.0 / 3.0;
-    run.energyPj = 2.5e300;
-    run.hostNs = 5e-324; // denormal min
-    run.verified = true;
-    run.wallMs = 0.1;
-    sim::RunCache simc(dir, "scn", CacheFormat::Binary);
-    ASSERT_TRUE(simc.append("k1", run).empty());
+    run.elements = 77;
+    expectEditedLinesCorrupt<sim::RunCache>(
+        "sim", run,
+        {{"\"elements\":77,", "\"elements\":-1,"},
+         {"\"elements\":77,", "\"elements\":1e300,"},
+         {"\"elements\":77,", "\"elements\":2.5,"},
+         {"\"elements\":77,", "\"elements\":18446744073709551616,"}});
+
+    nn::NnOutcome net;
+    net.images = 77;
+    expectEditedLinesCorrupt<nn::NnCache>(
+        "nn", net,
+        {{"\"images\":77,", "\"images\":-1,"},
+         {"\"images\":77,", "\"images\":1e300,"},
+         {"\"images\":77,", "\"images\":2.5,"}});
 
     serve::ServiceOutcome svc;
-    svc.requests = 42;
-    svc.batches = 7;
-    svc.meanBatch = 6.0;
-    svc.p999Ms = 1.0 / 7.0;
-    svc.verified = true;
+    svc.requests = 77;
+    svc.tail.push_back({});
+    svc.tail.back().tenant = 5;
+    svc.tail.back().cls = 6;
+    svc.series.push_back({});
+    svc.series.back().arrivals = 11;
     svc.tenants.push_back({});
     svc.tenants.back().tenant = 3;
-    svc.tenants.back().requests = 21;
-    svc.tenants.back().p95Ms = 2.0 / 3.0;
-    serve::ServiceCache servec(dir, "scn", CacheFormat::Binary);
-    ASSERT_TRUE(servec.append("k2", svc).empty());
-
-    sim::RunCache simr(dir, "scn", CacheFormat::Binary);
-    ASSERT_TRUE(simr.load().empty());
-    const auto r = simr.lookup("k1");
-    ASSERT_TRUE(r);
-    EXPECT_EQ(r->elements, run.elements);
-    EXPECT_EQ(r->timeNs, run.timeNs);
-    EXPECT_EQ(r->energyPj, run.energyPj);
-    EXPECT_EQ(r->hostNs, run.hostNs);
-    EXPECT_EQ(r->verified, run.verified);
-    EXPECT_EQ(r->wallMs, run.wallMs);
-
-    serve::ServiceCache server(dir, "scn", CacheFormat::Binary);
-    ASSERT_TRUE(server.load().empty());
-    const auto s = server.lookup("k2");
-    ASSERT_TRUE(s);
-    EXPECT_EQ(s->requests, svc.requests);
-    EXPECT_EQ(s->batches, svc.batches);
-    EXPECT_EQ(s->meanBatch, svc.meanBatch);
-    EXPECT_EQ(s->p999Ms, svc.p999Ms);
-    ASSERT_EQ(s->tenants.size(), 1u);
-    EXPECT_EQ(s->tenants[0].tenant, 3u);
-    EXPECT_EQ(s->tenants[0].requests, 21u);
-    EXPECT_EQ(s->tenants[0].p95Ms, svc.tenants[0].p95Ms);
-    fs::remove_all(dir);
+    expectEditedLinesCorrupt<serve::ServiceCache>(
+        "serve", svc,
+        {{"\"requests\":77,", "\"requests\":-1,"},
+         {"\"requests\":77,", "\"requests\":1e300,"},
+         {"\"requests\":77,", "\"requests\":2.5,"},
+         {"{\"tenant\":3,", "{\"tenant\":4294967296,"},
+         {"\"class\":6,", "\"class\":4294967296,"},
+         {"\"series\":[[11,", "\"series\":[[2.5,"}});
 }
 
 // ---- Per-mode key namespacing ----
