@@ -22,6 +22,10 @@
  * kernels, so a kernel that is consistently wrong passes it; this
  * file does not.
  *
+ * Two more pin the batch and nn output documents (the deterministic
+ * runs CSV and summary JSON) of small grids, so that a writer change
+ * that alters every row the same way still shows up as a diff.
+ *
  * Regeneration: PLUTO_UPDATE_GOLDEN=1 ./test_golden_trace
  * rewrites tests/golden/ in the source tree (see tests/README.md).
  */
@@ -35,11 +39,14 @@
 #include <sstream>
 
 #include "common/digest.hh"
+#include "nn/campaign.hh"
 #include "nn/lenet5.hh"
 #include "obs/registry.hh"
 #include "runtime/device.hh"
 #include "serve/metrics.hh"
 #include "serve/runner.hh"
+#include "sim/metrics.hh"
+#include "sim/runner.hh"
 
 #ifndef PLUTO_GOLDEN_DIR
 #define PLUTO_GOLDEN_DIR "tests/golden"
@@ -332,6 +339,68 @@ lenetLogits()
 TEST(GoldenNn, LeNet5LogitsMatchCheckedInFile)
 {
     expectGolden("lenet5_logits", lenetLogits());
+}
+
+/** @return the scenario parsed from `text` (test failure if bad). */
+sim::SimConfig
+parseScenario(const char *text)
+{
+    std::string err;
+    const auto cfg = sim::SimConfig::parse(text, err);
+    EXPECT_TRUE(cfg) << err;
+    return cfg ? *cfg : sim::SimConfig{};
+}
+
+/**
+ * Batch grid: two designs x one workload at two sizes, two repeats
+ * each, so the summary JSON's folding of repeats into one cell is
+ * pinned along with every CSV column.
+ */
+TEST(GoldenOutputs, BatchRunsCsvAndSummaryJson)
+{
+    const auto cfg = parseScenario(R"(
+[scenario]
+name = golden_batch
+repeats = 2
+[variant v]
+sweep design = gsa, gmc
+[workload CRC-8]
+sweep elements = 512, 2048
+)");
+    sim::RunOptions opt;
+    opt.threads = 1;
+    opt.deterministic = true;
+    const auto report = sim::ScenarioRunner(cfg).run(opt);
+    ASSERT_EQ(report.runs.size(), 8u);
+    expectGolden("batch_outputs",
+                 "## runs.csv\n" +
+                     sim::MetricsSink::renderCsv(cfg, report) +
+                     "## summary.json\n" +
+                     sim::MetricsSink::renderJson(cfg, report));
+}
+
+/** NN grid: one variant, LeNet-5 at bits 1 and 4. */
+TEST(GoldenOutputs, NnRunsCsvAndSummaryJson)
+{
+    const auto cfg = parseScenario(R"(
+[scenario]
+name = golden_nn
+[variant bsa]
+design = bsa
+[nn lenet]
+sweep bits = 1, 4
+images = 2
+)");
+    sim::RunOptions opt;
+    opt.threads = 1;
+    opt.deterministic = true;
+    const auto report = nn::NnRunner(cfg).run(opt);
+    ASSERT_EQ(report.runs.size(), 2u);
+    expectGolden("nn_outputs",
+                 "## runs.csv\n" +
+                     nn::NnMetricsSink::renderCsv(cfg, report) +
+                     "## summary.json\n" +
+                     nn::NnMetricsSink::renderJson(cfg, report));
 }
 
 } // namespace
