@@ -40,38 +40,6 @@ fmtNum(const char *f, double v)
     return buf;
 }
 
-std::string
-fmtU64(u64 v)
-{
-    return std::to_string(v);
-}
-
-CsvWriter::CsvWriter(std::vector<std::string> header)
-    : columns_(header.size())
-{
-    PLUTO_ASSERT(columns_ > 0);
-    emitLine(header);
-}
-
-void
-CsvWriter::addRow(const std::vector<std::string> &cells)
-{
-    PLUTO_ASSERT(cells.size() == columns_);
-    emitLine(cells);
-    ++rows_;
-}
-
-void
-CsvWriter::emitLine(const std::vector<std::string> &cells)
-{
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (i)
-            text_ += ',';
-        text_ += csvEscape(cells[i]);
-    }
-    text_ += '\n';
-}
-
 JsonValue
 JsonValue::array()
 {

@@ -1,9 +1,10 @@
 /**
  * @file
  * Machine-readable output emitters shared by the scenario engine and
- * future bench harnesses: an RFC-4180-style CSV writer and a minimal
- * ordered JSON document builder. Both are dependency-free and render
- * to strings so callers decide where bytes go (file, stdout, test).
+ * future bench harnesses: RFC-4180-style CSV cell escaping and a
+ * minimal ordered JSON document builder. Both are dependency-free
+ * and render to strings so callers decide where bytes go (file,
+ * stdout, test). campaign/columns.hh builds CSV documents on them.
  */
 
 #ifndef PLUTO_COMMON_EMIT_HH
@@ -26,32 +27,6 @@ std::string csvEscape(const std::string &cell);
 /** snprintf `v` with printf format `f` (fixed-precision CSV cells:
  *  stable bytes are what the cache/merge guarantees rest on). */
 std::string fmtNum(const char *f, double v);
-
-/** Decimal rendering of a u64 CSV cell. */
-std::string fmtU64(u64 v);
-
-/** CSV document with a fixed header row. */
-class CsvWriter
-{
-  public:
-    explicit CsvWriter(std::vector<std::string> header);
-
-    /** Append one row; its width must match the header. */
-    void addRow(const std::vector<std::string> &cells);
-
-    /** @return number of data rows added so far. */
-    std::size_t rows() const { return rows_; }
-
-    /** @return the full document, header first, "\n" line ends. */
-    const std::string &render() const { return text_; }
-
-  private:
-    void emitLine(const std::vector<std::string> &cells);
-
-    std::size_t columns_;
-    std::size_t rows_ = 0;
-    std::string text_;
-};
 
 /**
  * A JSON value: null, bool, number, string, array or object. Objects

@@ -9,6 +9,7 @@
 #include <optional>
 #include <sstream>
 
+#include "campaign/columns.hh"
 #include "common/logging.hh"
 #include "nn/pluto_qnn.hh"
 #include "obs/registry.hh"
@@ -224,49 +225,72 @@ NnRunner::run(const campaign::RunOptions &opt,
     return report;
 }
 
-std::vector<std::string>
-NnMetricsSink::csvColumns()
-{
-    return {"scenario",         "variant",
-            "cell",             "bits",
-            "images",           "seed",
-            "macs",             "time_ns",
-            "ns_per_inference", "energy_pj",
-            "pj_per_inference", "accuracy",
-            "paper_accuracy",   "speedup_cpu",
-            "speedup_gpu",      "speedup_fpga",
-            "verified",         "wall_ms"};
-}
-
 namespace
 {
 
-/** Host-baseline per-inference times for one record, Table 7 rows. */
-struct HostRow
+using campaign::Column;
+
+/** One emitted nn cell: the record, its time per inference and the
+ *  Table 7 host baselines (CPU, GPU, FPGA) at its MAC count. */
+struct CellRow
 {
-    double cpuNs = 0.0;
-    double gpuNs = 0.0;
-    double fpgaNs = 0.0;
+    CellRow(const sim::SimConfig &cfg, const NnRunRecord &r)
+        : cfg(cfg), r(r), nsInf(r.out.nsPerInference()),
+          hosts(hostQnnCosts(r.bits, r.out.macs))
+    {
+    }
+
+    const sim::SimConfig &cfg;
+    const NnRunRecord &r;
+    double nsInf;
+    std::vector<QnnCost> hosts;
 };
 
-HostRow
-hostRow(u32 bits, u64 macs)
+/** @return the getter of the speedup over host baseline `host`. */
+auto
+speedupOver(std::size_t host)
 {
-    HostRow row;
-    const auto hosts = hostQnnCosts(bits, macs);
-    if (hosts.size() >= 3) {
-        row.cpuNs = hosts[0].timeNs;
-        row.gpuNs = hosts[1].timeNs;
-        row.fpgaNs = hosts[2].timeNs;
-    }
-    return row;
+    return [host](const CellRow &v) {
+        return v.nsInf > 0.0 ? v.hosts[host].timeNs / v.nsInf : 0.0;
+    };
 }
 
-double
-speedup(double hostNs, double plutoNs)
-{
-    return plutoNs > 0.0 ? hostNs / plutoNs : 0.0;
-}
+// Column groups of both documents; the two tables below order them.
+const auto kLabels = campaign::columns(
+    Column{"variant", [](auto &v) { return v.r.variant; }},
+    Column{"cell", [](auto &v) { return v.r.cell; }},
+    Column{"bits", [](auto &v) { return v.r.bits; }},
+    Column{"images", [](auto &v) { return v.r.out.images; }},
+    Column{"seed", [](auto &v) { return v.r.seed; }},
+    Column{"macs", [](auto &v) { return v.r.out.macs; }});
+const auto kTime = campaign::columns(
+    Column{"time_ns", [](auto &v) { return v.r.out.timeNs; }, "%.6f"},
+    Column{"ns_per_inference", &CellRow::nsInf, "%.6f"});
+const auto kQuality = campaign::columns(
+    Column{"pj_per_inference",
+           [](auto &v) { return v.r.out.pjPerInference(); }, "%.6f"},
+    Column{"accuracy", [](auto &v) { return v.r.out.accuracy; }, "%.4f"},
+    Column{"paper_accuracy",
+           [](auto &v) { return paperAccuracy(v.r.bits); }, "%.4f"});
+const auto kSpeedups = campaign::columns(
+    Column{"speedup.cpu", speedupOver(0), "%.4f"},
+    Column{"speedup.gpu", speedupOver(1), "%.4f"},
+    Column{"speedup.fpga", speedupOver(2), "%.4f"});
+const auto kVerified =
+    Column{"verified", [](auto &v) { return v.r.out.verified; }};
+const auto kWallMs =
+    Column{"wall_ms", [](auto &v) { return v.r.out.wallMs; }, "%.3f"};
+
+/** The per-cell CSV, over CellRow. */
+const auto kCsvColumns = campaign::columns(
+    Column{"scenario", [](auto &v) { return v.cfg.name; }}, kLabels,
+    kTime,
+    Column{"energy_pj", [](auto &v) { return v.r.out.energyPj; }, "%.6f"},
+    kQuality, kSpeedups, kVerified, kWallMs);
+
+/** A summary JSON result, over CellRow. */
+const auto kJsonColumns = campaign::columns(
+    kLabels, kVerified, kTime, kQuality, kWallMs, kSpeedups);
 
 } // namespace
 
@@ -274,32 +298,10 @@ std::string
 NnMetricsSink::renderCsv(const sim::SimConfig &cfg,
                          const NnReport &report)
 {
-    CsvWriter csv(csvColumns());
-    for (const auto &r : report.runs) {
-        const double nsInf = r.out.nsPerInference();
-        const HostRow host = hostRow(r.bits, r.out.macs);
-        csv.addRow({
-            cfg.name,
-            r.variant,
-            r.cell,
-            fmtU64(r.bits),
-            fmtU64(r.out.images),
-            fmtU64(r.seed),
-            fmtU64(r.out.macs),
-            fmtNum("%.6f", r.out.timeNs),
-            fmtNum("%.6f", nsInf),
-            fmtNum("%.6f", r.out.energyPj),
-            fmtNum("%.6f", r.out.pjPerInference()),
-            fmtNum("%.4f", r.out.accuracy),
-            fmtNum("%.4f", paperAccuracy(r.bits)),
-            fmtNum("%.4f", speedup(host.cpuNs, nsInf)),
-            fmtNum("%.4f", speedup(host.gpuNs, nsInf)),
-            fmtNum("%.4f", speedup(host.fpgaNs, nsInf)),
-            r.out.verified ? "yes" : "no",
-            fmtNum("%.3f", r.out.wallMs),
-        });
-    }
-    return csv.render();
+    std::string csv = campaign::csvHeader(kCsvColumns);
+    for (const auto &r : report.runs)
+        campaign::csvLine(csv, kCsvColumns, CellRow(cfg, r));
+    return csv;
 }
 
 std::string
@@ -314,29 +316,9 @@ NnMetricsSink::renderJson(const sim::SimConfig &cfg,
     root.set("wall_ms", report.wallMs);
 
     JsonValue &results = root.set("results", JsonValue::array());
-    for (const auto &r : report.runs) {
-        const double nsInf = r.out.nsPerInference();
-        const HostRow host = hostRow(r.bits, r.out.macs);
-        JsonValue &row = results.push(JsonValue::object());
-        row.set("variant", r.variant);
-        row.set("cell", r.cell);
-        row.set("bits", static_cast<unsigned long long>(r.bits));
-        row.set("images",
-                static_cast<unsigned long long>(r.out.images));
-        row.set("seed", static_cast<unsigned long long>(r.seed));
-        row.set("macs", static_cast<unsigned long long>(r.out.macs));
-        row.set("verified", r.out.verified);
-        row.set("time_ns", r.out.timeNs);
-        row.set("ns_per_inference", nsInf);
-        row.set("pj_per_inference", r.out.pjPerInference());
-        row.set("accuracy", r.out.accuracy);
-        row.set("paper_accuracy", paperAccuracy(r.bits));
-        row.set("wall_ms", r.out.wallMs);
-        JsonValue &sp = row.set("speedup", JsonValue::object());
-        sp.set("cpu", speedup(host.cpuNs, nsInf));
-        sp.set("gpu", speedup(host.gpuNs, nsInf));
-        sp.set("fpga", speedup(host.fpgaNs, nsInf));
-    }
+    for (const auto &r : report.runs)
+        campaign::setJson(results.push(JsonValue::object()),
+                          kJsonColumns, CellRow(cfg, r));
     return root.dump();
 }
 
@@ -346,18 +328,9 @@ NnMetricsSink::write(const sim::SimConfig &cfg,
                      std::vector<std::string> &written,
                      const std::string &suffix)
 {
-    const std::string base = cfg.outDir + "/" + cfg.name + suffix;
-    const std::string csvPath = base + "_nn_runs.csv";
-    std::string err = writeTextFile(csvPath, renderCsv(cfg, report));
-    if (!err.empty())
-        return err;
-    written.push_back(csvPath);
-    const std::string jsonPath = base + "_nn_summary.json";
-    err = writeTextFile(jsonPath, renderJson(cfg, report));
-    if (!err.empty())
-        return err;
-    written.push_back(jsonPath);
-    return {};
+    return campaign::writeOutputs(
+        cfg.outDir + "/" + cfg.name + suffix + "_nn",
+        renderCsv(cfg, report), renderJson(cfg, report), written);
 }
 
 } // namespace pluto::nn

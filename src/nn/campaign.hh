@@ -144,9 +144,6 @@ class NnRunner
 class NnMetricsSink
 {
   public:
-    /** Column names of the nn CSV, in order. */
-    static std::vector<std::string> csvColumns();
-
     /** @return the per-cell CSV document. */
     static std::string renderCsv(const sim::SimConfig &cfg,
                                  const NnReport &report);

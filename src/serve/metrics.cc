@@ -10,7 +10,7 @@
 #include <map>
 #include <numeric>
 
-#include "common/emit.hh"
+#include "campaign/columns.hh"
 #include "common/logging.hh"
 
 namespace pluto::serve
@@ -41,46 +41,9 @@ seriesSchema()
             {"latency_ms", obs::SeriesAgg::Hist}};
 }
 
+/** Fill the latency digest of `d` from histogram `h`. */
 void
-setLatency(JsonValue &row, const char *prefix, double mean,
-           double p50, double p95, double p99, double p999,
-           double max)
-{
-    row.set(std::string(prefix) + "mean_ms", mean);
-    row.set(std::string(prefix) + "p50_ms", p50);
-    row.set(std::string(prefix) + "p95_ms", p95);
-    row.set(std::string(prefix) + "p99_ms", p99);
-    row.set(std::string(prefix) + "p999_ms", p999);
-    row.set(std::string(prefix) + "max_ms", max);
-}
-
-void
-setPhases(JsonValue &row, const double (&phaseMs)[kPhaseCount])
-{
-    JsonValue &ph = row.set("phase_ms", JsonValue::object());
-    for (u32 i = 0; i < kPhaseCount; ++i)
-        ph.set(phaseName(i), phaseMs[i]);
-}
-
-void
-setSlo(JsonValue &row, double sloMs, double target, u64 good,
-       u64 violations, double attainment, double burn)
-{
-    JsonValue &slo = row.set("slo", JsonValue::object());
-    slo.set("slo_ms", sloMs);
-    slo.set("target", target);
-    slo.set("good", static_cast<unsigned long long>(good));
-    slo.set("violations",
-            static_cast<unsigned long long>(violations));
-    slo.set("attainment", attainment);
-    slo.set("burn_rate", burn);
-}
-
-/** Fill the latency digest of `d` (a ServiceOutcome or a
- *  TenantSummary) from histogram `h`. */
-template <typename Digest>
-void
-setDigest(Digest &d, const obs::Histogram &h)
+setDigest(LatencyDigest &d, const obs::Histogram &h)
 {
     d.requests = h.count();
     d.meanMs = h.mean();
@@ -115,19 +78,9 @@ burnOf(u64 good, u64 violations, double target)
 const char *
 phaseName(u32 phase)
 {
-    switch (static_cast<Phase>(phase)) {
-      case Phase::QueueWait:
-        return "queue_wait";
-      case Phase::BatchWait:
-        return "batch_wait";
-      case Phase::LutReload:
-        return "lut_reload";
-      case Phase::TfawStall:
-        return "tfaw_stall";
-      case Phase::Exec:
-        return "exec";
-    }
-    return "unknown";
+    static constexpr const char *kNames[kPhaseCount] = {
+        "queue_wait", "batch_wait", "lut_reload", "tfaw_stall", "exec"};
+    return phase < kPhaseCount ? kNames[phase] : "unknown";
 }
 
 u32
@@ -367,109 +320,230 @@ ServiceMetrics::finish(u32 devices, TimeNs busyNs, double energyPj,
     return out;
 }
 
-std::vector<std::string>
-ServiceMetricsSink::csvColumns()
+namespace
 {
-    return {"scenario",        "variant",          "service",
-            "policy",          "mode",             "devices",
-            "rate_rps",        "clients",          "tenant",
-            "requests",        "batches",          "mean_batch",
-            "throughput_rps",  "mean_ms",          "p50_ms",
-            "p95_ms",          "p99_ms",           "p999_ms",
-            "max_ms",          "queue_wait_ms",    "batch_wait_ms",
-            "lut_reload_ms",   "tfaw_stall_ms",    "exec_ms",
-            "slo_ms",          "slo_good",         "slo_violations",
-            "slo_attainment",  "slo_burn_rate",    "mean_queue_depth",
-            "max_queue_depth", "utilization",      "pj_per_request",
-            "makespan_ms",     "verified"};
+
+using campaign::Column;
+
+/**
+ * One row of a run's reports: the run itself (`t` null: its
+ * `tenant=all` CSV row and its summary JSON result) or one of its
+ * tenants. The row carries that set's latency digest.
+ */
+struct RunRow : LatencyDigest
+{
+    const sim::SimConfig &cfg;
+    const ServiceRunRecord &r;
+    const TenantSummary *t = nullptr;
+};
+
+/** One window of a run's virtual-time series. */
+struct WindowRow : SeriesWindow
+{
+    const sim::SimConfig &cfg;
+    const ServiceRunRecord &r;
+    u64 w;
+};
+
+/**
+ * @return one column per Phase, named prefix + phaseName + suffix,
+ * whose cell is `get(row, phase)`.
+ */
+template <typename Get>
+auto
+phaseColumns(const std::string &prefix, const std::string &suffix,
+             Get get, const char *fmt = "%.17g")
+{
+    return [&]<u32... P>(std::integer_sequence<u32, P...>) {
+        return campaign::columns(Column{
+            prefix + phaseName(P) + suffix,
+            [get](const auto &row) { return get(row, P); }, fmt}...);
+    }(std::make_integer_sequence<u32, kPhaseCount>{});
 }
+
+/** @return the getter of run-wide member `m`: blank on tenant rows,
+ *  where batching, queueing and load have no meaning. */
+template <typename M>
+auto
+poolWide(M ServiceOutcome::*m)
+{
+    return [m](const RunRow &v) -> std::variant<campaign::Blank, M> {
+        if (v.t)
+            return {};
+        return v.r.out.*m;
+    };
+}
+
+/** @return the getter of run member `m` (every row of a run). */
+template <typename M>
+auto
+ofRun(M ServiceOutcome::*m)
+{
+    return [m](const auto &v) { return v.r.out.*m; };
+}
+
+// Columns shared by the tables below. kScenario, kVariant and
+// kService read any row with a config and a run; the rest a RunRow.
+const auto kScenario =
+    Column{"scenario", [](auto &v) { return v.cfg.name; }};
+const auto kVariant =
+    Column{"variant", [](auto &v) { return v.r.variant; }};
+const auto kService =
+    Column{"service", [](auto &v) { return v.r.service; }};
+const auto kSpec = campaign::columns(
+    kVariant, kService,
+    Column{"policy", [](auto &v) { return v.r.policy; }},
+    Column{"mode", [](auto &v) { return v.r.mode; }},
+    Column{"devices", [](auto &v) { return v.r.devices; }},
+    Column{"rate_rps", [](auto &v) { return v.r.ratePerSec; }, "%.4f"},
+    Column{"clients", [](auto &v) { return v.r.clients; }});
+const auto kTenant = Column{
+    "tenant", [](const RunRow &v) -> std::variant<u32, const char *> {
+        if (v.t)
+            return v.t->tenant;
+        return "all";
+    }};
+const auto kRequests = Column{"requests", &RunRow::requests};
+const auto kBatches =
+    Column{"batches", poolWide(&ServiceOutcome::batches)};
+const auto kMeanBatch =
+    Column{"mean_batch", poolWide(&ServiceOutcome::meanBatch), "%.4f"};
+const auto kMakespan =
+    Column{"makespan_ms", poolWide(&ServiceOutcome::makespanMs), "%.6f"};
+const auto kThroughput = Column{
+    "throughput_rps",
+    [](const RunRow &v) {
+        const double ms = v.r.out.makespanMs;
+        return !v.t ? v.r.out.throughputRps
+               : ms > 0.0 ? static_cast<double>(v.requests) / (ms * 1e-3)
+                          : 0.0;
+    },
+    "%.4f"};
+const auto kLatency = campaign::columns(
+    Column{"mean_ms", &RunRow::meanMs, "%.6f"},
+    Column{"p50_ms", &RunRow::p50Ms, "%.6f"},
+    Column{"p95_ms", &RunRow::p95Ms, "%.6f"},
+    Column{"p99_ms", &RunRow::p99Ms, "%.6f"},
+    Column{"p999_ms", &RunRow::p999Ms, "%.6f"},
+    Column{"max_ms", &RunRow::maxMs, "%.6f"});
+const auto kPoolLoad = campaign::columns(
+    Column{"mean_queue_depth", poolWide(&ServiceOutcome::meanQueueDepth),
+           "%.4f"},
+    Column{"max_queue_depth", poolWide(&ServiceOutcome::maxQueueDepth),
+           "%.4f"},
+    Column{"utilization", poolWide(&ServiceOutcome::utilization), "%.6f"},
+    Column{"pj_per_request", poolWide(&ServiceOutcome::pjPerRequest),
+           "%.6f"});
+const auto kVerified =
+    Column{"verified", ofRun(&ServiceOutcome::verified)};
+const auto kSlo = campaign::columns(
+    Column{"slo.good", &RunRow::sloGood},
+    Column{"slo.violations", &RunRow::sloViolations},
+    Column{"slo.attainment", &RunRow::sloAttainment, "%.6f"},
+    Column{"slo.burn_rate", &RunRow::sloBurnRate, "%.6f"});
+/** JSON phase sums and SLO object of a run or tenant. */
+const auto kPhaseSlo = campaign::columns(
+    phaseColumns("phase_ms.", "",
+                 [](const RunRow &v, u32 p) { return v.phaseMs[p]; }),
+    Column{"slo.slo_ms", &RunRow::sloMs},
+    Column{"slo.target", ofRun(&ServiceOutcome::sloTarget)}, kSlo);
+
+/** The service CSV: per run its `tenant=all` row, then its tenants.
+ *  Phase columns are per-request means, so rows at different
+ *  request counts stay comparable. */
+const auto kCsvColumns = campaign::columns(
+    kScenario, kSpec, kTenant, kRequests, kBatches, kMeanBatch,
+    kThroughput, kLatency,
+    phaseColumns(
+        "", "_ms",
+        [](const RunRow &v, u32 p) {
+            return v.requests
+                       ? v.phaseMs[p] / static_cast<double>(v.requests)
+                       : 0.0;
+        },
+        "%.6f"),
+    Column{"slo_ms", &RunRow::sloMs, "%.6f"}, kSlo, kPoolLoad,
+    kMakespan, kVerified);
+
+/** A summary JSON result (its tenants follow as sub-rows). */
+const auto kRunJsonColumns = campaign::columns(
+    kSpec, kRequests, kBatches, kMeanBatch, kMakespan, kThroughput,
+    kLatency, kPoolLoad, kVerified, kPhaseSlo,
+    Column{"tail.quantile", ofRun(&ServiceOutcome::tailQuantile)},
+    Column{"tail.threshold_ms", ofRun(&ServiceOutcome::tailThresholdMs)},
+    Column{"tail.requests", ofRun(&ServiceOutcome::tailRequests)});
+
+/** A summary JSON tenant sub-row. */
+const auto kTenantJsonColumns =
+    campaign::columns(kTenant, kRequests, kLatency, kPhaseSlo);
+
+/** A run of the tail report (its groups follow as sub-rows). */
+const auto kTailRunColumns = campaign::columns(
+    kVariant, kService,
+    Column{"tail_quantile", ofRun(&ServiceOutcome::tailQuantile)},
+    Column{"tail_threshold_ms", ofRun(&ServiceOutcome::tailThresholdMs)},
+    Column{"tail_requests", ofRun(&ServiceOutcome::tailRequests)});
+
+/** Phase sums, shares and the dominant phase of a TailGroup. */
+const auto kBlameColumns = campaign::columns(
+    phaseColumns("phase_ms.", "",
+                 [](const TailGroup &g, u32 p) { return g.phaseMs[p]; }),
+    phaseColumns("share.", "",
+                 [](const TailGroup &g, u32 p) {
+                     double total = 0.0;
+                     for (const double ms : g.phaseMs)
+                         total += ms;
+                     return total > 0.0 ? g.phaseMs[p] / total : 0.0;
+                 }),
+    Column{"dominant_phase", [](const TailGroup &g) {
+        return phaseName(g.dominantPhase());
+    }});
+
+/** A tail-report group. */
+const auto kTailGroupColumns = campaign::columns(
+    Column{"tenant", &TailGroup::tenant}, Column{"class", &TailGroup::cls},
+    Column{"workload", &TailGroup::workload},
+    Column{"requests", &TailGroup::requests},
+    Column{"mean_ms", &TailGroup::meanMs}, kBlameColumns);
+
+/** The virtual-time series CSV, over WindowRow. */
+const auto kWindowColumns = campaign::columns(
+    kScenario, kVariant, kService, Column{"window", &WindowRow::w},
+    Column{"start_ms",
+           [](const WindowRow &v) {
+               return static_cast<double>(v.w) * v.r.out.seriesIntervalMs;
+           },
+           "%.6f"},
+    Column{"window_ms", ofRun(&ServiceOutcome::seriesIntervalMs), "%.6f"},
+    Column{"arrivals", &WindowRow::arrivals},
+    Column{"completions", &WindowRow::completions},
+    Column{"queue_depth_max", &WindowRow::maxQueueDepth, "%.4f"},
+    Column{"inflight_max", &WindowRow::maxInFlight, "%.4f"},
+    Column{"utilization",
+           [](const WindowRow &v) {
+               const double winNs = v.r.out.seriesIntervalMs * 1e6;
+               return v.r.devices > 0 && winNs > 0.0
+                          ? v.busyNs / (static_cast<double>(v.r.devices) *
+                                        winNs)
+                          : 0.0;
+           },
+           "%.6f"},
+    Column{"p50_ms", &WindowRow::p50Ms, "%.6f"},
+    Column{"p99_ms", &WindowRow::p99Ms, "%.6f"});
+
+} // namespace
 
 std::string
 ServiceMetricsSink::renderCsv(const sim::SimConfig &cfg,
                               const std::vector<ServiceRunRecord> &runs)
 {
-    CsvWriter csv(csvColumns());
-    // Phase columns are per-request means so rows at different
-    // request counts stay comparable.
-    const auto phaseCells = [](const double (&sums)[kPhaseCount],
-                               u64 requests,
-                               std::vector<std::string> &row) {
-        for (u32 i = 0; i < kPhaseCount; ++i)
-            row.push_back(fmtNum(
-                "%.6f", requests ? sums[i] /
-                                       static_cast<double>(requests)
-                                 : 0.0));
-    };
+    std::string csv = campaign::csvHeader(kCsvColumns);
     for (const auto &r : runs) {
-        const auto common = [&](const std::string &tenant) {
-            return std::vector<std::string>{
-                cfg.name,
-                r.variant,
-                r.service,
-                r.policy,
-                r.mode,
-                fmtU64(r.devices),
-                fmtNum("%.4f", r.ratePerSec),
-                fmtU64(r.clients),
-                tenant,
-            };
-        };
-        auto row = common("all");
-        row.insert(row.end(),
-                   {fmtU64(r.out.requests), fmtU64(r.out.batches),
-                    fmtNum("%.4f", r.out.meanBatch),
-                    fmtNum("%.4f", r.out.throughputRps),
-                    fmtNum("%.6f", r.out.meanMs),
-                    fmtNum("%.6f", r.out.p50Ms),
-                    fmtNum("%.6f", r.out.p95Ms),
-                    fmtNum("%.6f", r.out.p99Ms),
-                    fmtNum("%.6f", r.out.p999Ms),
-                    fmtNum("%.6f", r.out.maxMs)});
-        phaseCells(r.out.phaseMs, r.out.requests, row);
-        row.insert(row.end(),
-                   {fmtNum("%.6f", r.out.sloMs),
-                    fmtU64(r.out.sloGood),
-                    fmtU64(r.out.sloViolations),
-                    fmtNum("%.6f", r.out.sloAttainment),
-                    fmtNum("%.6f", r.out.sloBurnRate),
-                    fmtNum("%.4f", r.out.meanQueueDepth),
-                    fmtNum("%.4f", r.out.maxQueueDepth),
-                    fmtNum("%.6f", r.out.utilization),
-                    fmtNum("%.6f", r.out.pjPerRequest),
-                    fmtNum("%.6f", r.out.makespanMs),
-                    r.out.verified ? "yes" : "no"});
-        csv.addRow(row);
-        for (const auto &t : r.out.tenants) {
-            // Batching/queueing/utilization are pool-wide, not
-            // per-tenant: those cells stay empty rather than zero so
-            // column aggregation cannot silently mix placeholders.
-            const double rps =
-                r.out.makespanMs > 0.0
-                    ? static_cast<double>(t.requests) /
-                          (r.out.makespanMs * 1e-3)
-                    : 0.0;
-            auto trow = common(fmtU64(t.tenant));
-            trow.insert(trow.end(),
-                        {fmtU64(t.requests), "", "",
-                         fmtNum("%.4f", rps),
-                         fmtNum("%.6f", t.meanMs),
-                         fmtNum("%.6f", t.p50Ms),
-                         fmtNum("%.6f", t.p95Ms),
-                         fmtNum("%.6f", t.p99Ms),
-                         fmtNum("%.6f", t.p999Ms),
-                         fmtNum("%.6f", t.maxMs)});
-            phaseCells(t.phaseMs, t.requests, trow);
-            trow.insert(trow.end(),
-                        {fmtNum("%.6f", t.sloMs),
-                         fmtU64(t.sloGood),
-                         fmtU64(t.sloViolations),
-                         fmtNum("%.6f", t.sloAttainment),
-                         fmtNum("%.6f", t.sloBurnRate), "", "", "",
-                         "", "", r.out.verified ? "yes" : "no"});
-            csv.addRow(trow);
-        }
+        campaign::csvLine(csv, kCsvColumns, RunRow{r.out, cfg, r});
+        for (const auto &t : r.out.tenants)
+            campaign::csvLine(csv, kCsvColumns, RunRow{t, cfg, r, &t});
     }
-    return csv.render();
+    return csv;
 }
 
 std::string
@@ -491,52 +565,11 @@ ServiceMetricsSink::renderJson(const sim::SimConfig &cfg,
     JsonValue &results = root.set("results", JsonValue::array());
     for (const auto &r : runs) {
         JsonValue &row = results.push(JsonValue::object());
-        row.set("variant", r.variant);
-        row.set("service", r.service);
-        row.set("policy", r.policy);
-        row.set("mode", r.mode);
-        row.set("devices",
-                static_cast<unsigned long long>(r.devices));
-        row.set("rate_rps", r.ratePerSec);
-        row.set("clients",
-                static_cast<unsigned long long>(r.clients));
-        row.set("requests",
-                static_cast<unsigned long long>(r.out.requests));
-        row.set("batches",
-                static_cast<unsigned long long>(r.out.batches));
-        row.set("mean_batch", r.out.meanBatch);
-        row.set("makespan_ms", r.out.makespanMs);
-        row.set("throughput_rps", r.out.throughputRps);
-        setLatency(row, "", r.out.meanMs, r.out.p50Ms, r.out.p95Ms,
-                   r.out.p99Ms, r.out.p999Ms, r.out.maxMs);
-        row.set("mean_queue_depth", r.out.meanQueueDepth);
-        row.set("max_queue_depth", r.out.maxQueueDepth);
-        row.set("utilization", r.out.utilization);
-        row.set("pj_per_request", r.out.pjPerRequest);
-        row.set("verified", r.out.verified);
-        setPhases(row, r.out.phaseMs);
-        setSlo(row, r.out.sloMs, r.out.sloTarget, r.out.sloGood,
-               r.out.sloViolations, r.out.sloAttainment,
-               r.out.sloBurnRate);
-        JsonValue &tail = row.set("tail", JsonValue::object());
-        tail.set("quantile", r.out.tailQuantile);
-        tail.set("threshold_ms", r.out.tailThresholdMs);
-        tail.set("requests", static_cast<unsigned long long>(
-                                 r.out.tailRequests));
-        JsonValue &tenants =
-            row.set("tenants", JsonValue::array());
-        for (const auto &t : r.out.tenants) {
-            JsonValue &trow = tenants.push(JsonValue::object());
-            trow.set("tenant",
-                     static_cast<unsigned long long>(t.tenant));
-            trow.set("requests",
-                     static_cast<unsigned long long>(t.requests));
-            setLatency(trow, "", t.meanMs, t.p50Ms, t.p95Ms,
-                       t.p99Ms, t.p999Ms, t.maxMs);
-            setPhases(trow, t.phaseMs);
-            setSlo(trow, t.sloMs, r.out.sloTarget, t.sloGood,
-                   t.sloViolations, t.sloAttainment, t.sloBurnRate);
-        }
+        campaign::setJson(row, kRunJsonColumns, RunRow{r.out, cfg, r});
+        JsonValue &tenants = row.set("tenants", JsonValue::array());
+        for (const auto &t : r.out.tenants)
+            campaign::setJson(tenants.push(JsonValue::object()),
+                              kTenantJsonColumns, RunRow{t, cfg, r, &t});
     }
     return root.dump();
 }
@@ -553,55 +586,17 @@ ServiceMetricsSink::renderTailReport(
     // Per-variant rollup across every cell of the variant: single
     // cells at low rates can have degenerate tails, the rollup is
     // what cross-variant assertions should read.
-    struct Rollup
-    {
-        u64 requests = 0;
-        double phaseMs[kPhaseCount] = {};
-    };
-    std::map<std::string, Rollup> rollup;
-
-    const auto setShare = [](JsonValue &row,
-                             const double (&phaseMs)[kPhaseCount]) {
-        double total = 0.0;
-        for (u32 i = 0; i < kPhaseCount; ++i)
-            total += phaseMs[i];
-        JsonValue &share = row.set("share", JsonValue::object());
-        for (u32 i = 0; i < kPhaseCount; ++i)
-            share.set(phaseName(i),
-                      total > 0.0 ? phaseMs[i] / total : 0.0);
-        u32 best = 0;
-        for (u32 i = 1; i < kPhaseCount; ++i)
-            if (phaseMs[i] > phaseMs[best])
-                best = i;
-        row.set("dominant_phase", std::string(phaseName(best)));
-    };
+    std::map<std::string, TailGroup> rollup;
 
     JsonValue &results = root.set("results", JsonValue::array());
     for (const auto &r : runs) {
         JsonValue &row = results.push(JsonValue::object());
-        row.set("variant", r.variant);
-        row.set("service", r.service);
-        row.set("tail_quantile", r.out.tailQuantile);
-        row.set("tail_threshold_ms", r.out.tailThresholdMs);
-        row.set("tail_requests", static_cast<unsigned long long>(
-                                     r.out.tailRequests));
+        campaign::setJson(row, kTailRunColumns, RunRow{r.out, cfg, r});
         JsonValue &groups = row.set("groups", JsonValue::array());
         for (const auto &g : r.out.tail) {
-            JsonValue &grow = groups.push(JsonValue::object());
-            grow.set("tenant",
-                     static_cast<unsigned long long>(g.tenant));
-            grow.set("class",
-                     static_cast<unsigned long long>(g.cls));
-            grow.set("workload", g.workload);
-            grow.set("requests",
-                     static_cast<unsigned long long>(g.requests));
-            grow.set("mean_ms", g.meanMs);
-            JsonValue &ph = grow.set("phase_ms", JsonValue::object());
-            for (u32 i = 0; i < kPhaseCount; ++i)
-                ph.set(phaseName(i), g.phaseMs[i]);
-            setShare(grow, g.phaseMs);
-
-            Rollup &roll = rollup[r.variant];
+            campaign::setJson(groups.push(JsonValue::object()),
+                              kTailGroupColumns, g);
+            TailGroup &roll = rollup[r.variant];
             roll.requests += g.requests;
             for (u32 i = 0; i < kPhaseCount; ++i)
                 roll.phaseMs[i] += g.phaseMs[i];
@@ -614,10 +609,7 @@ ServiceMetricsSink::renderTailReport(
         vrow.set("variant", name);
         vrow.set("tail_requests", static_cast<unsigned long long>(
                                       roll.requests));
-        JsonValue &ph = vrow.set("phase_ms", JsonValue::object());
-        for (u32 i = 0; i < kPhaseCount; ++i)
-            ph.set(phaseName(i), roll.phaseMs[i]);
-        setShare(vrow, roll.phaseMs);
+        campaign::setJson(vrow, kBlameColumns, roll);
     }
     return root.dump();
 }
@@ -627,33 +619,12 @@ ServiceMetricsSink::renderTimeseriesCsv(
     const sim::SimConfig &cfg,
     const std::vector<ServiceRunRecord> &runs)
 {
-    CsvWriter csv({"scenario", "variant", "service", "window",
-                   "start_ms", "window_ms", "arrivals",
-                   "completions", "queue_depth_max", "inflight_max",
-                   "utilization", "p50_ms", "p99_ms"});
-    for (const auto &r : runs) {
-        const double winMs = r.out.seriesIntervalMs;
-        const double winNs = winMs * 1e6;
-        for (std::size_t w = 0; w < r.out.series.size(); ++w) {
-            const SeriesWindow &win = r.out.series[w];
-            const double util =
-                r.devices > 0 && winNs > 0.0
-                    ? win.busyNs /
-                          (static_cast<double>(r.devices) * winNs)
-                    : 0.0;
-            csv.addRow({cfg.name, r.variant, r.service, fmtU64(w),
-                        fmtNum("%.6f",
-                               static_cast<double>(w) * winMs),
-                        fmtNum("%.6f", winMs), fmtU64(win.arrivals),
-                        fmtU64(win.completions),
-                        fmtNum("%.4f", win.maxQueueDepth),
-                        fmtNum("%.4f", win.maxInFlight),
-                        fmtNum("%.6f", util),
-                        fmtNum("%.6f", win.p50Ms),
-                        fmtNum("%.6f", win.p99Ms)});
-        }
-    }
-    return csv.render();
+    std::string csv = campaign::csvHeader(kWindowColumns);
+    for (const auto &r : runs)
+        for (u64 w = 0; w < r.out.series.size(); ++w)
+            campaign::csvLine(csv, kWindowColumns,
+                              WindowRow{r.out.series[w], cfg, r, w});
+    return csv;
 }
 
 std::string
@@ -663,18 +634,9 @@ ServiceMetricsSink::write(const sim::SimConfig &cfg,
                           std::vector<std::string> &written,
                           const std::string &suffix)
 {
-    const std::string base = cfg.outDir + "/" + cfg.name + suffix;
-    const std::string csvPath = base + "_service_runs.csv";
-    std::string err = writeTextFile(csvPath, renderCsv(cfg, runs));
-    if (!err.empty())
-        return err;
-    written.push_back(csvPath);
-    const std::string jsonPath = base + "_service_summary.json";
-    err = writeTextFile(jsonPath, renderJson(cfg, runs, wallMs));
-    if (!err.empty())
-        return err;
-    written.push_back(jsonPath);
-    return {};
+    return campaign::writeOutputs(
+        cfg.outDir + "/" + cfg.name + suffix + "_service",
+        renderCsv(cfg, runs), renderJson(cfg, runs, wallMs), written);
 }
 
 } // namespace pluto::serve

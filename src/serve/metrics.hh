@@ -63,26 +63,28 @@ enum class Phase : u32
 /** Number of Phase values (array extents, render loops). */
 constexpr u32 kPhaseCount = 5;
 
-/** @return the report spelling of a phase ("queue_wait_ms", ...). */
+/** @return the report spelling of a phase ("queue_wait", ...). */
 const char *phaseName(u32 phase);
 
-/** Latency digest of one tenant's completed requests. */
-struct TenantSummary
+/**
+ * Latency digest of a set of completed requests (a whole cell's, or
+ * one tenant's): what the report rows of both have in common.
+ */
+struct LatencyDigest
 {
-    u32 tenant = 0;
     u64 requests = 0;
+    /** Mean, quantiles and max from the set's latency histogram
+     *  (exact bucket rank, <= 1/64 relative bucket width), ms. */
     double meanMs = 0.0;
-    /** Quantiles from the tenant's latency histogram (exact bucket
-     *  rank, <= 1/64 relative bucket width). */
     double p50Ms = 0.0;
     double p95Ms = 0.0;
     double p99Ms = 0.0;
     double p999Ms = 0.0;
     double maxMs = 0.0;
-    /** Phase sums over the tenant's requests, ms (Phase order). */
+    /** Phase sums over the set's requests, ms (Phase order). */
     double phaseMs[kPhaseCount] = {};
-    /** Tightest effective SLO among the tenant's requests, ms
-     *  (0 = untracked). */
+    /** Effective SLO, ms (0 = untracked): the service's SLO for a
+     *  whole cell, the tightest of its requests' SLOs for a tenant. */
     double sloMs = 0.0;
     /** Requests within / beyond their effective SLO. */
     u64 sloGood = 0;
@@ -91,6 +93,12 @@ struct TenantSummary
     double sloAttainment = 0.0;
     /** (1 - attainment) / (1 - target): 1.0 = exactly at target. */
     double sloBurnRate = 0.0;
+};
+
+/** Latency digest of one tenant's completed requests. */
+struct TenantSummary : LatencyDigest
+{
+    u32 tenant = 0;
 };
 
 /** One (tenant, class) row of the tail-blame table. */
@@ -125,11 +133,11 @@ struct SeriesWindow
     double p99Ms = 0.0;
 };
 
-/** Simulated outcome of one (variant, service) cell. */
-struct ServiceOutcome
+/** Simulated outcome of one (variant, service) cell; the digest
+ *  covers every completed request. */
+struct ServiceOutcome : LatencyDigest
 {
-    /** Completed requests / dispatched batches. */
-    u64 requests = 0;
+    /** Dispatched batches. */
     u64 batches = 0;
     /** Mean dispatched batch size. */
     double meanBatch = 0.0;
@@ -137,14 +145,6 @@ struct ServiceOutcome
     double makespanMs = 0.0;
     /** Completed requests per second of virtual time. */
     double throughputRps = 0.0;
-    /** End-to-end latency digest (queueing + service), ms, read
-     *  from latHist. */
-    double meanMs = 0.0;
-    double p50Ms = 0.0;
-    double p95Ms = 0.0;
-    double p99Ms = 0.0;
-    double p999Ms = 0.0;
-    double maxMs = 0.0;
     /** Total queued requests, sampled at each arrival. */
     double meanQueueDepth = 0.0;
     double maxQueueDepth = 0.0;
@@ -160,16 +160,8 @@ struct ServiceOutcome
      *  output file, so deterministic outputs are unaffected. */
     double loopHostMs = 0.0;
 
-    /** Phase sums over all requests, ms (Phase order). */
-    double phaseMs[kPhaseCount] = {};
-    /** Service-level SLO echo, ms (0 = no SLO tracking). */
-    double sloMs = 0.0;
     /** SLO attainment target echo. */
     double sloTarget = 0.0;
-    u64 sloGood = 0;
-    u64 sloViolations = 0;
-    double sloAttainment = 0.0;
-    double sloBurnRate = 0.0;
     /** Tail-blame cutoff echo and the threshold it resolved to:
      *  latHist.quantile(tailQuantile). */
     double tailQuantile = 0.0;
@@ -319,9 +311,6 @@ class ServiceMetrics
 class ServiceMetricsSink
 {
   public:
-    /** Column names of the service CSV, in order. */
-    static std::vector<std::string> csvColumns();
-
     /**
      * @return the service CSV document: per record one `tenant=all`
      * row plus one row per tenant.

@@ -8,7 +8,7 @@
 #include <map>
 #include <tuple>
 
-#include "common/emit.hh"
+#include "campaign/columns.hh"
 #include "common/stats.hh"
 
 namespace pluto::sim
@@ -16,6 +16,9 @@ namespace pluto::sim
 
 namespace
 {
+
+using campaign::Column;
+using workloads::BaselineRates;
 
 /** Speedup of a simulated rate vs a host baseline rate. */
 double
@@ -25,47 +28,76 @@ speedup(double baseline_ns_per_elem, double ns_per_elem)
                              : 0.0;
 }
 
-} // namespace
-
-std::vector<std::string>
-MetricsSink::csvColumns()
+/** One per-run CSV row. */
+struct RunRow
 {
-    return {"scenario",     "variant",      "workload",
-            "repeat",       "seed",         "elements",
-            "time_ns",      "ns_per_elem",  "energy_pj",
-            "pj_per_elem",  "host_ns",      "verified",
-            "speedup_cpu",  "speedup_gpu",  "speedup_fpga",
-            "speedup_pnm",  "wall_ms"};
+    const SimConfig &cfg;
+    const RunRecord &r;
+    /** Named as in CellSummary, for kSpeedupColumns. */
+    const BaselineRates &rates;
+    double nsPerElem;
+};
+
+/** @return the getter of the speedup over host baseline `host` of a
+ *  RunRow or CellSummary. */
+auto
+speedupOver(double BaselineRates::*host)
+{
+    return [host](const auto &v) {
+        return speedup(v.rates.*host, v.nsPerElem);
+    };
 }
+
+const auto kSpeedupColumns = campaign::columns(
+    Column{"speedup.cpu", speedupOver(&BaselineRates::cpu), "%.4f"},
+    Column{"speedup.gpu", speedupOver(&BaselineRates::gpu), "%.4f"},
+    Column{"speedup.fpga", speedupOver(&BaselineRates::fpga), "%.4f"},
+    Column{"speedup.pnm", speedupOver(&BaselineRates::pnm), "%.4f"});
+
+/** The per-run CSV, over RunRow. */
+const auto kRunColumns = campaign::columns(
+    Column{"scenario", [](auto &v) { return v.cfg.name; }},
+    Column{"variant", [](auto &v) { return v.r.variant; }},
+    Column{"workload", [](auto &v) { return v.r.workload; }},
+    Column{"repeat", [](auto &v) { return v.r.repeat; }},
+    Column{"seed", [](auto &v) { return v.r.seed; }},
+    Column{"elements", [](auto &v) { return v.r.result.elements; }},
+    Column{"time_ns", [](auto &v) { return v.r.result.timeNs; }, "%.6f"},
+    Column{"ns_per_elem", &RunRow::nsPerElem, "%.9f"},
+    Column{"energy_pj", [](auto &v) { return v.r.result.energyPj; },
+           "%.6f"},
+    Column{"pj_per_elem", [](auto &v) { return v.r.result.pjPerElem(); },
+           "%.9f"},
+    Column{"host_ns", [](auto &v) { return v.r.result.hostNs; }, "%.6f"},
+    Column{"verified", [](auto &v) { return v.r.result.verified; }},
+    kSpeedupColumns,
+    Column{"wall_ms", [](auto &v) { return v.r.wallMs; }, "%.3f"});
+
+/** A summary JSON result: one (variant, workload, elements) cell. */
+const auto kCellColumns = campaign::columns(
+    Column{"variant", &CellSummary::variant},
+    Column{"workload", &CellSummary::workload},
+    Column{"runs", &CellSummary::runs},
+    Column{"elements", &CellSummary::elements},
+    Column{"seed", &CellSummary::seed},
+    Column{"verified", &CellSummary::verified},
+    Column{"mean_time_ns", &CellSummary::meanTimeNs},
+    Column{"ns_per_elem", &CellSummary::nsPerElem},
+    Column{"mean_energy_pj", &CellSummary::meanEnergyPj},
+    Column{"pj_per_elem", &CellSummary::pjPerElem},
+    Column{"wall_ms", &CellSummary::wallMs}, kSpeedupColumns);
+
+} // namespace
 
 std::string
 MetricsSink::renderCsv(const SimConfig &cfg,
                        const ScenarioReport &report)
 {
-    CsvWriter csv(csvColumns());
-    for (const auto &r : report.runs) {
-        const double npe = r.result.nsPerElem();
-        csv.addRow({
-            cfg.name,
-            r.variant,
-            r.workload,
-            fmtU64(r.repeat),
-            fmtU64(r.seed),
-            fmtU64(r.result.elements),
-            fmtNum("%.6f", r.result.timeNs),
-            fmtNum("%.9f", npe),
-            fmtNum("%.6f", r.result.energyPj),
-            fmtNum("%.9f", r.result.pjPerElem()),
-            fmtNum("%.6f", r.result.hostNs),
-            r.result.verified ? "yes" : "no",
-            fmtNum("%.4f", speedup(r.rates.cpu, npe)),
-            fmtNum("%.4f", speedup(r.rates.gpu, npe)),
-            fmtNum("%.4f", speedup(r.rates.fpga, npe)),
-            fmtNum("%.4f", speedup(r.rates.pnm, npe)),
-            fmtNum("%.3f", r.wallMs),
-        });
-    }
-    return csv.render();
+    std::string csv = campaign::csvHeader(kRunColumns);
+    for (const auto &r : report.runs)
+        campaign::csvLine(csv, kRunColumns,
+                          RunRow{cfg, r, r.rates, r.result.nsPerElem()});
+    return csv;
 }
 
 std::vector<CellSummary>
@@ -127,24 +159,8 @@ MetricsSink::renderJson(const SimConfig &cfg,
     JsonValue &results = root.set("results", JsonValue::array());
     std::map<std::string, std::vector<double>> cpuSpeedups;
     for (const CellSummary &c : aggregate(report)) {
-        JsonValue &row = results.push(JsonValue::object());
-        row.set("variant", c.variant);
-        row.set("workload", c.workload);
-        row.set("runs", static_cast<unsigned long long>(c.runs));
-        row.set("elements",
-                static_cast<unsigned long long>(c.elements));
-        row.set("seed", static_cast<unsigned long long>(c.seed));
-        row.set("verified", c.verified);
-        row.set("mean_time_ns", c.meanTimeNs);
-        row.set("ns_per_elem", c.nsPerElem);
-        row.set("mean_energy_pj", c.meanEnergyPj);
-        row.set("pj_per_elem", c.pjPerElem);
-        row.set("wall_ms", c.wallMs);
-        JsonValue &sp = row.set("speedup", JsonValue::object());
-        sp.set("cpu", speedup(c.rates.cpu, c.nsPerElem));
-        sp.set("gpu", speedup(c.rates.gpu, c.nsPerElem));
-        sp.set("fpga", speedup(c.rates.fpga, c.nsPerElem));
-        sp.set("pnm", speedup(c.rates.pnm, c.nsPerElem));
+        campaign::setJson(results.push(JsonValue::object()),
+                          kCellColumns, c);
         cpuSpeedups[c.variant].push_back(
             speedup(c.rates.cpu, c.nsPerElem));
     }
@@ -170,18 +186,9 @@ MetricsSink::write(const SimConfig &cfg, const ScenarioReport &report,
                    std::vector<std::string> &written,
                    const std::string &suffix)
 {
-    const std::string base = cfg.outDir + "/" + cfg.name + suffix;
-    const std::string csvPath = base + "_runs.csv";
-    std::string err = writeTextFile(csvPath, renderCsv(cfg, report));
-    if (!err.empty())
-        return err;
-    written.push_back(csvPath);
-    const std::string jsonPath = base + "_summary.json";
-    err = writeTextFile(jsonPath, renderJson(cfg, report));
-    if (!err.empty())
-        return err;
-    written.push_back(jsonPath);
-    return {};
+    return campaign::writeOutputs(cfg.outDir + "/" + cfg.name + suffix,
+                                  renderCsv(cfg, report),
+                                  renderJson(cfg, report), written);
 }
 
 } // namespace pluto::sim

@@ -47,9 +47,6 @@ struct CellSummary
 class MetricsSink
 {
   public:
-    /** Column names of the per-run CSV, in order. */
-    static std::vector<std::string> csvColumns();
-
     /**
      * Fold repeats into per-cell means, preserving first-appearance
      * order. Shared by the JSON summary and the CLI table.

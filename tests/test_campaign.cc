@@ -8,8 +8,9 @@
  * shared --cache-dir), the per-mode cache field tables (every
  * member round-trips in both encodings, checked-in fixture files
  * re-encode byte for byte, out-of-range JSONL integers are corrupt),
- * and the NN campaign mode's sharded+cached byte-identity — the
- * properties every mode inherits from the core.
+ * the column tables behind every CSV and JSON writer, and the NN
+ * campaign mode's sharded+cached byte-identity — the properties
+ * every mode inherits from the core.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "campaign/cache.hh"
+#include "campaign/columns.hh"
 #include "campaign/runner.hh"
 #include "nn/campaign.hh"
 #include "serve/cache.hh"
@@ -780,6 +782,54 @@ TEST(JsonlCacheFormat, OutOfRangeIntegersAreCorruptInEveryMode)
          {"{\"tenant\":3,", "{\"tenant\":4294967296,"},
          {"\"class\":6,", "\"class\":4294967296,"},
          {"\"series\":[[11,", "\"series\":[[2.5,"}});
+}
+
+// ---- Column tables ----
+
+struct Shown
+{
+    std::string name;
+    u32 count = 0;
+    double ms = 0.0;
+    bool ok = false;
+    /** No value: a blank cell. */
+    bool hidden = false;
+};
+
+TEST(ColumnTables, RenderEveryCellKindToCsvAndJson)
+{
+    const auto kStats = columns(Column{"stats.count", &Shown::count},
+                                Column{"stats.ms", &Shown::ms, "%.2f"});
+    const auto table = columns(
+        Column{"name", &Shown::name}, kStats, Column{"ok", &Shown::ok},
+        Column{"maybe",
+               [](const Shown &s) -> std::variant<Blank, double> {
+                   if (s.hidden)
+                       return {};
+                   return s.ms * 2.0;
+               },
+               "%.1f"});
+
+    const Shown a{"a,b", 3, 1.25, true, false};
+    const Shown b{"c", 0, 0.5, false, true};
+    std::string csv = csvHeader(table);
+    csvLine(csv, table, a);
+    csvLine(csv, table, b);
+    EXPECT_EQ(csv, "name,stats_count,stats_ms,ok,maybe\n"
+                   "\"a,b\",3,1.25,yes,2.5\n"
+                   "c,0,0.50,no,\n");
+
+    // Dotted names nest where the group first appears; the blank
+    // cell is left out and doubles keep every digit.
+    JsonValue obj = JsonValue::object();
+    setJson(obj, table, b);
+    std::string err;
+    const auto want = JsonValue::parse(
+        R"({"name": "c", "stats": {"count": 0, "ms": 0.5},
+            "ok": false})",
+        err);
+    ASSERT_TRUE(want) << err;
+    EXPECT_EQ(obj.dump(), want->dump());
 }
 
 // ---- Per-mode key namespacing ----

@@ -456,19 +456,19 @@ TEST(MetricsSink, CsvSchema)
     std::istringstream in(csv);
     std::string header;
     ASSERT_TRUE(std::getline(in, header));
-    std::string expect;
-    for (const auto &c : MetricsSink::csvColumns())
-        expect += (expect.empty() ? "" : ",") + c;
-    EXPECT_EQ(header, expect);
+    EXPECT_EQ(header, "scenario,variant,workload,repeat,seed,elements,"
+                      "time_ns,ns_per_elem,energy_pj,pj_per_elem,"
+                      "host_ns,verified,speedup_cpu,speedup_gpu,"
+                      "speedup_fpga,speedup_pnm,wall_ms");
+    const auto columns =
+        std::count(header.begin(), header.end(), ',') + 1;
 
     std::size_t rows = 0;
     std::string line;
     while (std::getline(in, line)) {
         ++rows;
-        const auto commas =
-            std::count(line.begin(), line.end(), ',');
-        EXPECT_EQ(static_cast<std::size_t>(commas) + 1,
-                  MetricsSink::csvColumns().size())
+        EXPECT_EQ(std::count(line.begin(), line.end(), ',') + 1,
+                  columns)
             << line;
         EXPECT_NE(line.find("small,"), std::string::npos);
     }
@@ -513,11 +513,6 @@ TEST(Emit, CsvEscaping)
     EXPECT_EQ(csvEscape("plain"), "plain");
     EXPECT_EQ(csvEscape("a,b"), "\"a,b\"");
     EXPECT_EQ(csvEscape("say \"hi\""), "\"say \"\"hi\"\"\"");
-
-    CsvWriter w({"a", "b"});
-    w.addRow({"1", "x,y"});
-    EXPECT_EQ(w.render(), "a,b\n1,\"x,y\"\n");
-    EXPECT_EQ(w.rows(), 1u);
 }
 
 TEST(Emit, JsonRendering)

@@ -85,12 +85,13 @@ TEST(SimOutputs, JsonSchemaMatchesCsvRecomputation)
     std::istringstream in(csv);
     std::string header;
     ASSERT_TRUE(std::getline(in, header));
-    const auto columns = MetricsSink::csvColumns();
-    ASSERT_EQ(splitCsv(header), columns);
-
+    const auto columns = splitCsv(header);
     std::map<std::string, std::size_t> col;
     for (std::size_t i = 0; i < columns.size(); ++i)
         col[columns[i]] = i;
+    for (const char *name : {"scenario", "variant", "workload",
+                             "elements", "seed", "time_ns", "energy_pj"})
+        ASSERT_TRUE(col.count(name)) << name;
 
     // Recompute per-cell aggregates from the raw rows.
     struct Cell
