@@ -54,11 +54,17 @@
  * keys ignored, integers range-checked), binary write and binary
  * read (sequential, in table order). The table order is therefore
  * the wire order of both encodings.
+ *
+ * JSONL holds integers as JSON numbers, which parse to doubles: a
+ * u64 member at or above 2^53 would replay rounded, so its line
+ * loads as corrupt and the cell is recomputed. The binary encoding
+ * stores all 64 bits and replays every value exactly.
  */
 
 #ifndef PLUTO_CAMPAIGN_CACHE_HH
 #define PLUTO_CAMPAIGN_CACHE_HH
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -310,15 +316,18 @@ bool getHistogram(BinReader &r, obs::Histogram &h);
 
 /**
  * Read a JSON number into an unsigned integer. @return false for a
- * negative, NaN, fractional or too-large value: casting those to U
- * is undefined.
+ * negative, NaN or fractional value, and for one at or above 2^53
+ * or out of U's range: JSON numbers parse to doubles, which may have
+ * rounded a larger integer already, and casting a value beyond U's
+ * range is undefined.
  */
 template <typename U>
 bool
 readJsonUint(const JsonValue &x, U &v)
 {
-    // 2^digits: exact as a double and the first value out of range.
-    constexpr int kBits = std::numeric_limits<U>::digits;
+    // The first value out of range, exact as a double: 2^digits,
+    // capped at 2^53 (a double's mantissa).
+    constexpr int kBits = std::min(std::numeric_limits<U>::digits, 53);
     constexpr double kLimit =
         2.0 * static_cast<double>(U{1} << (kBits - 1));
     if (!x.isNumber())

@@ -784,6 +784,39 @@ TEST(JsonlCacheFormat, OutOfRangeIntegersAreCorruptInEveryMode)
          {"\"series\":[[11,", "\"series\":[[2.5,"}});
 }
 
+TEST(JsonlCacheFormat, IntegersFrom2To53ReloadOnlyFromBinary)
+{
+    // JSON numbers parse to doubles, which round 2^53 + 1 to 2^53:
+    // that JSONL line must miss and count as corrupt, while a binary
+    // record replays all 64 bits. 2^53 - 1 is exact in both.
+    sim::CachedRun wide;
+    wide.elements = (u64{1} << 53) + 1;
+    sim::CachedRun edge;
+    edge.elements = (u64{1} << 53) - 1;
+    for (const CacheFormat fmt :
+         {CacheFormat::Jsonl, CacheFormat::Binary}) {
+        const auto dir = scratchDir(std::string("pluto_campaign_2p53_") +
+                                    cacheFormatName(fmt));
+        sim::RunCache writer(dir, "wide", fmt);
+        ASSERT_TRUE(writer.append("wide", wide).empty());
+        ASSERT_TRUE(writer.append("edge", edge).empty());
+
+        sim::RunCache reader(dir, "wide", fmt);
+        ASSERT_TRUE(reader.load().empty());
+        ASSERT_TRUE(reader.lookup("edge"));
+        EXPECT_EQ(reader.lookup("edge")->elements, edge.elements);
+        if (fmt == CacheFormat::Jsonl) {
+            EXPECT_FALSE(reader.lookup("wide"));
+            EXPECT_EQ(reader.corruptLines(), 1u);
+        } else {
+            ASSERT_TRUE(reader.lookup("wide"));
+            EXPECT_EQ(reader.lookup("wide")->elements, wide.elements);
+            EXPECT_EQ(reader.corruptLines(), 0u);
+        }
+        fs::remove_all(dir);
+    }
+}
+
 // ---- Column tables ----
 
 struct Shown
