@@ -251,7 +251,7 @@ auto
 speedupOver(std::size_t host)
 {
     return [host](const CellRow &v) {
-        return v.nsInf > 0.0 ? v.hosts[host].timeNs / v.nsInf : 0.0;
+        return v.nsInf > 0.0 ? v.hosts.at(host).timeNs / v.nsInf : 0.0;
     };
 }
 

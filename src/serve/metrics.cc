@@ -501,7 +501,8 @@ const auto kBlameColumns = campaign::columns(
 
 /** A tail-report group. */
 const auto kTailGroupColumns = campaign::columns(
-    Column{"tenant", &TailGroup::tenant}, Column{"class", &TailGroup::cls},
+    Column{"tenant", &TailGroup::tenant},
+    Column{"class", &TailGroup::cls},
     Column{"workload", &TailGroup::workload},
     Column{"requests", &TailGroup::requests},
     Column{"mean_ms", &TailGroup::meanMs}, kBlameColumns);
