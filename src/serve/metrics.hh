@@ -72,6 +72,7 @@ const char *phaseName(u32 phase);
  */
 struct LatencyDigest
 {
+    /** Completed requests in the set. */
     u64 requests = 0;
     /** Mean, quantiles and max from the set's latency histogram
      *  (exact bucket rank, <= 1/64 relative bucket width), ms. */
