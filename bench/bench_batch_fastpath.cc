@@ -13,8 +13,12 @@
  */
 
 #include <chrono>
+#include <vector>
 
 #include "bench_common.hh"
+#include "common/stats.hh"
+#include "common/table.hh"
+#include "runtime/device.hh"
 
 using namespace pluto;
 using namespace pluto::bench;

@@ -18,6 +18,7 @@
 #include <filesystem>
 
 #include "bench_common.hh"
+#include "common/table.hh"
 #include "sim/cache.hh"
 
 using namespace pluto;

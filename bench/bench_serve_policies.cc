@@ -17,6 +17,7 @@
  */
 
 #include "bench_common.hh"
+#include "common/table.hh"
 #include "serve/simulator.hh"
 
 using namespace pluto;

@@ -31,6 +31,7 @@
  */
 
 #include "bench_common.hh"
+#include "common/table.hh"
 #include "serve/simulator.hh"
 
 using namespace pluto;

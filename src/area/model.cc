@@ -63,15 +63,14 @@ AreaModel::forDesign(core::Design d) const
 }
 
 AreaMm2
-AreaModel::plutoOverheadArea(dram::MemoryKind kind, core::Design d) const
+AreaModel::plutoChipArea(dram::MemoryKind kind, core::Design d) const
 {
-    const AreaMm2 ddr4 = forDesign(d).total() - baseline().total();
+    const AreaMm2 ddr4 = forDesign(d).total();
     if (kind == dram::MemoryKind::Ddr4)
         return ddr4;
-    // 3DS: the paper assumes 4.4 mm^2 of overhead per vault and
-    // reports ~29x higher performance-per-area than DDR4 at ~1.38x
-    // the performance, implying an effective area ~21x smaller once
-    // normalized per vault. We encode that calibration directly.
+    // 3DS: the paper reports ~29x higher performance per area than
+    // DDR4 at ~1.38x the performance, so the effective area is
+    // 29 / 1.38 ~ 21x smaller. We encode that calibration directly.
     return ddr4 / 21.0;
 }
 

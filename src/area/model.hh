@@ -48,18 +48,12 @@ class AreaModel
     AreaBreakdown forDesign(core::Design d) const;
 
     /**
-     * Silicon area attributable to pLUTo for performance-per-area
-     * normalization (Figure 8): the added area over the base die for
-     * DDR4; for 3DS, the per-vault overhead the paper assumes
-     * (4.4 mm^2 [11,48,67]) amortized over the vault count and 3D
-     * density advantage.
+     * Chip area that normalizes pLUTo's performance per area
+     * (Figure 8): the whole die with the design's modifications (the
+     * Table 5 total) for DDR4; for 3DS, that area amortized over the
+     * vaults and the 3D density advantage.
      */
-    AreaMm2 plutoOverheadArea(dram::MemoryKind kind,
-                              core::Design d) const;
-
-    /** Approximate CPU / GPU die areas for Figure 8's baselines. */
-    static AreaMm2 cpuDieArea() { return 485.0; }
-    static AreaMm2 gpuDieArea() { return 628.0; }
+    AreaMm2 plutoChipArea(dram::MemoryKind kind, core::Design d) const;
 
   private:
     // Base component areas (mm^2), Table 5.

@@ -20,7 +20,7 @@ struct PlutoDevice::Impl
           store(module, sched, cfg.loadModel),
           engine(module, sched, ops, store, cfg.design,
                  cfg.arena ? cfg.arena : &ownArena),
-          alloc(geom, cfg.salp ? cfg.salp : geom.defaultSalp),
+          alloc(geom, cfg.effectiveSalp()),
           controller(module, sched, ops, store, engine, library, alloc,
                      cfg.loadMethod)
     {

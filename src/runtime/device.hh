@@ -73,6 +73,16 @@ struct DeviceConfig
      * may only be shared by devices driven from one thread.
      */
     ScratchArena *arena = nullptr;
+
+    /** @return the SALP lane count the device runs at: `salp`, or
+     *  the geometry default when it is 0. */
+    u32
+    effectiveSalp() const
+    {
+        return salp ? salp
+                    : (geometry ? *geometry : dram::Geometry::forKind(memory))
+                          .defaultSalp;
+    }
 };
 
 /** Execution statistics snapshot. */

@@ -171,8 +171,8 @@ MetricsSink::renderJson(const SimConfig &cfg,
         row.set("name", d.name);
         row.set("design", core::designName(d.config.design));
         row.set("memory", dram::memoryKindName(d.config.memory));
-        row.set("salp",
-                static_cast<unsigned long long>(d.config.salp));
+        row.set("salp", static_cast<unsigned long long>(
+                            d.config.effectiveSalp()));
         row.set("faw", d.config.fawScale);
         const auto it = cpuSpeedups.find(d.name);
         row.set("geomean_speedup_cpu",

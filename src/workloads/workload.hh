@@ -93,13 +93,6 @@ class Workload
      */
     virtual WorkloadResult run(runtime::PlutoDevice &dev, u64 elements,
                                u64 seed = 0) const = 0;
-
-    /** Run at the default scale for the device's memory kind. */
-    WorkloadResult
-    runDefault(runtime::PlutoDevice &dev) const
-    {
-        return run(dev, defaultElements(dev.config().memory));
-    }
 };
 
 /**

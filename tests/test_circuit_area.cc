@@ -167,8 +167,8 @@ TEST(Area, OverheadAreaSmallerFor3ds)
     const area::AreaModel m;
     for (const auto d : core::allDesigns)
         EXPECT_LT(
-            m.plutoOverheadArea(dram::MemoryKind::Hmc3ds, d),
-            m.plutoOverheadArea(dram::MemoryKind::Ddr4, d));
+            m.plutoChipArea(dram::MemoryKind::Hmc3ds, d),
+            m.plutoChipArea(dram::MemoryKind::Ddr4, d));
 }
 
 } // namespace

@@ -242,6 +242,23 @@ TEST(Device, StatsAccumulateAndReset)
     EXPECT_DOUBLE_EQ(dev.stats().timeNs, 0.0);
 }
 
+TEST(Device, EffectiveSalpFallsBackToGeometryDefault)
+{
+    DeviceConfig cfg;
+    EXPECT_EQ(cfg.effectiveSalp(), 16u);
+    cfg.memory = MemoryKind::Hmc3ds;
+    EXPECT_EQ(cfg.effectiveSalp(), 512u);
+    cfg.salp = 4;
+    EXPECT_EQ(cfg.effectiveSalp(), 4u);
+
+    // A geometry override supplies the default, and the device runs
+    // at exactly the effective count.
+    DeviceConfig tiny = tinyConfig();
+    tiny.salp = 0;
+    EXPECT_EQ(tiny.effectiveSalp(), Geometry::tiny().defaultSalp);
+    EXPECT_EQ(PlutoDevice(tiny).salp(), tiny.effectiveSalp());
+}
+
 TEST(Device, GsaSlowerButSmallerThanGmc)
 {
     // End-to-end design ordering on a real op sequence.
