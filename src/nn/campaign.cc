@@ -88,7 +88,7 @@ NnCache::key(const runtime::DeviceConfig &cfg,
 {
     std::ostringstream d;
     d << 'v' << kNnSchema << '|' << deviceDescriptor(cfg) << '|'
-      << spec.bits << '|' << spec.images << '|' << spec.seed;
+      << sim::keyDescriptor(spec, '|');
     return keyFor(d.str());
 }
 

@@ -111,7 +111,10 @@ class NnCache
   public:
     using JsonlCache::JsonlCache;
 
-    /** @return the content key of one (variant, nn spec) cell. */
+    /**
+     * @return the content key of one (variant, nn spec) cell; its
+     * spec part is every [nn] key (sim::keyDescriptor).
+     */
     static std::string key(const runtime::DeviceConfig &cfg,
                            const sim::NnSpec &spec);
 };

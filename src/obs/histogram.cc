@@ -176,8 +176,11 @@ Histogram::encodeJson() const
         if (!first)
             out += ",";
         first = false;
-        out += "[" + std::to_string(idx) + "," + std::to_string(n) +
-               "]";
+        out += '[';
+        out += std::to_string(idx);
+        out += ',';
+        out += std::to_string(n);
+        out += ']';
     });
     out += "]}";
     return out;

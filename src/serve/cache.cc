@@ -34,19 +34,7 @@ ServiceCache::key(const runtime::DeviceConfig &cfg,
 {
     std::ostringstream d;
     d << 'v' << kServeSchema << '|' << deviceDescriptor(cfg) << '|'
-      << svc.closedLoop << ',' << svc.uniformArrivals << ','
-      << fmtDoubleExact(svc.ratePerSec) << ','
-      << fmtDoubleExact(svc.durationMs) << ',' << svc.clients << ','
-      << fmtDoubleExact(svc.thinkMs) << ','
-      << sim::batchPolicyName(svc.policy) << ',' << svc.batch << ','
-      << fmtDoubleExact(svc.windowMs) << ',' << svc.devices << ','
-      << svc.lanes << ',' << svc.seed << ','
-      << fmtDoubleExact(svc.sloMs) << ','
-      << fmtDoubleExact(svc.sloTarget) << ','
-      << fmtDoubleExact(svc.tailQuantile) << ','
-      << fmtDoubleExact(svc.timeseriesMs) << ','
-      << fmtDoubleExact(svc.tenantSkew) << ','
-      << sim::memoModeName(svc.memo);
+      << sim::keyDescriptor(svc, ',');
     for (const auto &c : mix)
         d << '|' << c.workload << ',' << c.elements << ',' << c.seed
           << ',' << c.tenant << ',' << fmtDoubleExact(c.weight)

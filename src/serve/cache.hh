@@ -107,7 +107,10 @@ class ServiceCache
   public:
     using JsonlCache::JsonlCache;
 
-    /** @return the content key of one (variant, service, mix) cell. */
+    /**
+     * @return the content key of one (variant, service, mix) cell;
+     * its service part is every [service] key (sim::keyDescriptor).
+     */
     static std::string key(const runtime::DeviceConfig &cfg,
                            const sim::ServiceSpec &svc,
                            const std::vector<RequestClass> &mix);

@@ -1,17 +1,32 @@
 /**
  * @file
  * Scenario-file parser (see config.hh).
+ *
+ * Every section kind declares one key table: a tuple of rows, each
+ * naming an INI key, the member it sets, the rule its value text must
+ * meet, the hint of its "bad KEY 'V' (HINT)" diagnostic, and whether
+ * a `sweep KEY = ...` line may grid it. One set-or-sweep function and
+ * one grid expansion serve every section, and the [service] and [nn]
+ * tables also spell their cells' cache keys (keyDescriptor), so those
+ * tables' row order is cache-key byte order. A new key is one row.
  */
 
 #include "sim/config.hh"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 
+#include "common/digest.hh"
 #include "workloads/workload.hh"
 
 namespace pluto::sim
@@ -52,16 +67,6 @@ parseU64(const std::string &s, u64 &out)
 }
 
 bool
-parseU32(const std::string &s, u32 &out)
-{
-    u64 v = 0;
-    if (!parseU64(s, v) || v > 0xffffffffull)
-        return false;
-    out = static_cast<u32>(v);
-    return true;
-}
-
-bool
 parseDouble(const std::string &s, double &out)
 {
     if (s.empty())
@@ -77,185 +82,349 @@ parseDouble(const std::string &s, double &out)
     return true;
 }
 
-bool
-parseBool(const std::string &s, bool &out)
+// ---- Value rules: how a key's text parses into its member ----
+
+/** Any text (names and paths). */
+struct Text
 {
-    if (s == "on" || s == "true" || s == "1") {
-        out = true;
-        return true;
-    }
-    if (s == "off" || s == "false" || s == "0") {
-        out = false;
-        return true;
+};
+
+/** An unsigned integer of at least `min` that fits the member. */
+struct Count
+{
+    u64 min;
+};
+
+/** A finite double in a range whose ends are open or closed. */
+struct Real
+{
+    double lo;
+    bool loOpen;
+    double hi;
+    bool hiOpen;
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/** @return the rule `v > lo`. */
+constexpr Real
+above(double lo)
+{
+    return {lo, true, kInf, false};
+}
+
+/** @return the rule `v >= lo`. */
+constexpr Real
+atLeast(double lo)
+{
+    return {lo, false, kInf, false};
+}
+
+/**
+ * One of a list of (spelling, value) pairs. A value may have several
+ * spellings (aliases); its first one names it.
+ */
+template <typename M, std::size_t N>
+struct OneOf
+{
+    std::array<std::pair<const char *, M>, N> items;
+};
+
+/** @return a OneOf rule over member type M. */
+template <typename M, std::size_t N>
+constexpr OneOf<M, N>
+oneOf(const std::pair<const char *, M> (&items)[N])
+{
+    return {std::to_array(items)};
+}
+
+/** Parse `text` by `rule` into `out`, which is left alone on failure. */
+bool
+parse(const Text &, const std::string &text, std::string &out)
+{
+    out = text;
+    return true;
+}
+
+template <typename M>
+bool
+parse(const Count &rule, const std::string &text, M &out)
+{
+    u64 v = 0;
+    if (!parseU64(text, v) || v < rule.min ||
+        static_cast<M>(v) != v)
+        return false;
+    out = static_cast<M>(v);
+    return true;
+}
+
+bool
+parse(const Real &rule, const std::string &text, double &out)
+{
+    double v = 0.0;
+    if (!parseDouble(text, v) || (rule.loOpen ? v <= rule.lo : v < rule.lo) ||
+        (rule.hiOpen ? v >= rule.hi : v > rule.hi))
+        return false;
+    out = v;
+    return true;
+}
+
+template <typename M, std::size_t N>
+bool
+parse(const OneOf<M, N> &rule, const std::string &text, M &out)
+{
+    // An integer member matches by value, so "04" reads as 4.
+    u64 n = 0;
+    const bool numeric = std::is_integral_v<M> &&
+                         !std::is_same_v<M, bool> &&
+                         parseU64(text, n);
+    for (const auto &[spelling, v] : rule.items) {
+        if (numeric ? n == static_cast<u64>(v) : text == spelling) {
+            out = v;
+            return true;
+        }
     }
     return false;
 }
 
-/** Apply one [device]/[variant] key. @return error text or empty. */
-std::string
-applyDeviceKey(runtime::DeviceConfig &cfg, const std::string &key,
-               const std::string &value)
+/** @return the name of `v` under `rule`, or nullptr if it has none. */
+template <typename Rule, typename M>
+const char *
+spell(const Rule &, M)
 {
-    if (key == "memory") {
-        if (value == "ddr4")
-            cfg.memory = dram::MemoryKind::Ddr4;
-        else if (value == "3ds" || value == "hmc3ds")
-            cfg.memory = dram::MemoryKind::Hmc3ds;
-        else
-            return "bad memory '" + value + "' (ddr4 | 3ds)";
-    } else if (key == "design") {
-        if (value == "bsa")
-            cfg.design = core::Design::Bsa;
-        else if (value == "gsa")
-            cfg.design = core::Design::Gsa;
-        else if (value == "gmc")
-            cfg.design = core::Design::Gmc;
-        else
-            return "bad design '" + value + "' (bsa | gsa | gmc)";
-    } else if (key == "salp") {
-        if (!parseU32(value, cfg.salp))
-            return "bad salp '" + value + "' (unsigned integer)";
-    } else if (key == "faw") {
-        // The negated form also rejects NaN, which strtod accepts.
-        if (!parseDouble(value, cfg.fawScale) ||
-            !(cfg.fawScale >= 0.0 && cfg.fawScale <= 1.0))
-            return "bad faw '" + value + "' (0..1)";
-    } else if (key == "refresh") {
-        if (!parseBool(value, cfg.modelRefresh))
-            return "bad refresh '" + value + "' (on | off)";
-    } else if (key == "load_method") {
-        if (value == "generate")
-            cfg.loadMethod = core::LutLoadMethod::FirstTimeGeneration;
-        else if (value == "memory")
-            cfg.loadMethod = core::LutLoadMethod::FromMemory;
-        else if (value == "storage")
-            cfg.loadMethod = core::LutLoadMethod::FromStorage;
-        else
-            return "bad load_method '" + value +
-                   "' (generate | memory | storage)";
-    } else {
-        return "unknown device key '" + key + "'";
-    }
-    return {};
+    return nullptr;
 }
 
-/** Apply one [service] key. @return error text or empty. */
-std::string
-applyServiceKey(ServiceSpec &svc, const std::string &key,
-                const std::string &value)
+template <typename M, std::size_t N>
+const char *
+spell(const OneOf<M, N> &rule, M v)
 {
-    if (key == "mode") {
-        if (value == "open")
-            svc.closedLoop = false;
-        else if (value == "closed")
-            svc.closedLoop = true;
-        else
-            return "bad mode '" + value + "' (open | closed)";
-    } else if (key == "arrivals") {
-        if (value == "poisson")
-            svc.uniformArrivals = false;
-        else if (value == "uniform")
-            svc.uniformArrivals = true;
-        else
-            return "bad arrivals '" + value +
-                   "' (poisson | uniform)";
-    } else if (key == "rate") {
-        if (!parseDouble(value, svc.ratePerSec) ||
-            !(svc.ratePerSec > 0.0))
-            return "bad rate '" + value + "' (requests/s > 0)";
-    } else if (key == "duration_ms") {
-        if (!parseDouble(value, svc.durationMs) ||
-            !(svc.durationMs > 0.0))
-            return "bad duration_ms '" + value + "' (ms > 0)";
-    } else if (key == "clients") {
-        if (!parseU32(value, svc.clients) || svc.clients == 0)
-            return "bad clients '" + value + "' (integer >= 1)";
-    } else if (key == "think_ms") {
-        if (!parseDouble(value, svc.thinkMs) || !(svc.thinkMs >= 0.0))
-            return "bad think_ms '" + value + "' (ms >= 0)";
-    } else if (key == "policy") {
-        if (value == "immediate")
-            svc.policy = BatchPolicyKind::Immediate;
-        else if (value == "fixed")
-            svc.policy = BatchPolicyKind::FixedSize;
-        else if (value == "window")
-            svc.policy = BatchPolicyKind::TimeWindow;
-        else if (value == "adaptive")
-            svc.policy = BatchPolicyKind::Adaptive;
-        else
-            return "bad policy '" + value +
-                   "' (immediate | fixed | window | adaptive)";
-    } else if (key == "batch") {
-        if (!parseU32(value, svc.batch) || svc.batch == 0)
-            return "bad batch '" + value + "' (integer >= 1)";
-    } else if (key == "window_ms") {
-        if (!parseDouble(value, svc.windowMs) ||
-            !(svc.windowMs >= 0.0))
-            return "bad window_ms '" + value + "' (ms >= 0)";
-    } else if (key == "devices") {
-        if (!parseU32(value, svc.devices) || svc.devices == 0)
-            return "bad devices '" + value + "' (integer >= 1)";
-    } else if (key == "lanes") {
-        if (!parseU32(value, svc.lanes) || svc.lanes == 0)
-            return "bad lanes '" + value + "' (integer >= 1)";
-    } else if (key == "seed") {
-        if (!parseU64(value, svc.seed))
-            return "bad seed '" + value + "' (unsigned integer)";
-    } else if (key == "slo_ms") {
-        if (!parseDouble(value, svc.sloMs) || !(svc.sloMs >= 0.0))
-            return "bad slo_ms '" + value + "' (ms >= 0; 0 = off)";
-    } else if (key == "slo_target") {
-        if (!parseDouble(value, svc.sloTarget) ||
-            !(svc.sloTarget > 0.0 && svc.sloTarget < 1.0))
-            return "bad slo_target '" + value + "' (0 < q < 1)";
-    } else if (key == "tail_quantile") {
-        if (!parseDouble(value, svc.tailQuantile) ||
-            !(svc.tailQuantile > 0.0 && svc.tailQuantile < 1.0))
-            return "bad tail_quantile '" + value + "' (0 < q < 1)";
-    } else if (key == "tenant_skew") {
-        if (!parseDouble(value, svc.tenantSkew) ||
-            !(svc.tenantSkew >= 0.0))
-            return "bad tenant_skew '" + value +
-                   "' (Zipf exponent >= 0; 0 = uniform)";
-    } else if (key == "timeseries_ms") {
-        if (!parseDouble(value, svc.timeseriesMs) ||
-            !(svc.timeseriesMs > 0.0))
-            return "bad timeseries_ms '" + value + "' (ms > 0)";
-    } else if (key == "memo") {
-        if (value == "on")
-            svc.memo = MemoMode::On;
-        else if (value == "off")
-            svc.memo = MemoMode::Off;
-        else if (value == "verify")
-            svc.memo = MemoMode::Verify;
-        else
-            return "bad memo '" + value + "' (on | off | verify)";
-    } else {
-        return "unknown service key '" + key + "'";
-    }
-    return {};
+    for (const auto &[spelling, value] : rule.items)
+        if (value == v)
+            return spelling;
+    return nullptr;
 }
 
-/** Apply one [nn] key. @return error text or empty. */
-std::string
-applyNnKey(NnSpec &nn, const std::string &key,
-           const std::string &value)
+// ---- Key tables ----
+
+/** One row of a key table (see the file comment). */
+template <typename Class, typename M, typename Rule>
+struct Key
 {
-    if (key == "bits") {
-        if (!parseU32(value, nn.bits) ||
-            (nn.bits != 1 && nn.bits != 4))
-            return "bad bits '" + value + "' (1 | 4)";
-    } else if (key == "images") {
-        if (!parseU32(value, nn.images) || nn.images == 0)
-            return "bad images '" + value + "' (integer >= 1)";
-    } else if (key == "seed") {
-        if (!parseU64(value, nn.seed))
-            return "bad seed '" + value + "' (unsigned integer)";
-    } else {
-        return "unknown nn key '" + key + "'";
-    }
-    return {};
+    std::string_view name;
+    M Class::*member;
+    Rule rule;
+    /** Parenthesised part of the "bad KEY 'V' (HINT)" diagnostic. */
+    const char *hint;
+    bool sweepable;
+};
+
+constexpr bool kSweep = true;
+constexpr bool kFixed = false;
+
+/** on | true | 1, or off | false | 0. */
+constexpr auto kOnOff =
+    oneOf<bool>({{"on", true}, {"true", true}, {"1", true},
+                 {"off", false}, {"false", false}, {"0", false}});
+
+/** The key table of one section kind. */
+template <typename Rows>
+struct KeyTable
+{
+    /** Section word: "[WORD]", "unknown WORD key". */
+    const char *word;
+    /** Noun of one expanded cell in diagnostics ("nn cell"). */
+    const char *cell;
+    /** Expanded cells get `/key=value` name suffixes and must be
+     *  uniquely named. */
+    bool named;
+    Rows rows;
+};
+
+using dram::MemoryKind;
+using core::Design;
+using core::LutLoadMethod;
+using runtime::DeviceConfig;
+
+constexpr KeyTable kScenarioKeys{
+    "scenario", "scenario", false,
+    std::make_tuple(
+        Key{"name", &SimConfig::name, Text{}, "", kFixed},
+        Key{"out_dir", &SimConfig::outDir, Text{}, "", kFixed},
+        Key{"repeats", &SimConfig::repeats, Count{1}, "integer >= 1",
+            kFixed})};
+
+constexpr KeyTable kDeviceKeys{
+    "device", "variant", true,
+    std::make_tuple(
+        Key{"memory", &DeviceConfig::memory,
+            oneOf<MemoryKind>({{"ddr4", MemoryKind::Ddr4},
+                               {"3ds", MemoryKind::Hmc3ds},
+                               {"hmc3ds", MemoryKind::Hmc3ds}}),
+            "ddr4 | 3ds", kSweep},
+        Key{"design", &DeviceConfig::design,
+            oneOf<Design>({{"bsa", Design::Bsa},
+                           {"gsa", Design::Gsa},
+                           {"gmc", Design::Gmc}}),
+            "bsa | gsa | gmc", kSweep},
+        Key{"salp", &DeviceConfig::salp, Count{0}, "unsigned integer",
+            kSweep},
+        Key{"faw", &DeviceConfig::fawScale, Real{0.0, false, 1.0, false},
+            "0..1", kSweep},
+        Key{"refresh", &DeviceConfig::modelRefresh, kOnOff, "on | off",
+            kSweep},
+        Key{"load_method", &DeviceConfig::loadMethod,
+            oneOf<LutLoadMethod>(
+                {{"generate", LutLoadMethod::FirstTimeGeneration},
+                 {"memory", LutLoadMethod::FromMemory},
+                 {"storage", LutLoadMethod::FromStorage}}),
+            "generate | memory | storage", kSweep})};
+
+constexpr KeyTable kWorkloadKeys{
+    "workload", "workload", false,
+    std::make_tuple(
+        Key{"elements", &WorkloadSpec::elements, Count{1},
+            "integer >= 1", kSweep},
+        Key{"seed", &WorkloadSpec::seed, Count{0}, "unsigned integer",
+            kSweep},
+        Key{"repeats", &WorkloadSpec::repeats, Count{1},
+            "integer >= 1", kFixed},
+        Key{"tenant", &WorkloadSpec::tenant, Count{0},
+            "unsigned integer", kFixed},
+        Key{"weight", &WorkloadSpec::weight, above(0.0), "> 0", kFixed},
+        Key{"slo_ms", &WorkloadSpec::sloMs, atLeast(0.0),
+            "ms >= 0; 0 = service SLO", kFixed})};
+
+/** Row order is ServiceCache::key's byte order. */
+constexpr KeyTable kServiceKeys{
+    "service", "service", true,
+    std::make_tuple(
+        Key{"mode", &ServiceSpec::closedLoop,
+            oneOf<bool>({{"open", false}, {"closed", true}}),
+            "open | closed", kSweep},
+        Key{"arrivals", &ServiceSpec::uniformArrivals,
+            oneOf<bool>({{"poisson", false}, {"uniform", true}}),
+            "poisson | uniform", kSweep},
+        Key{"rate", &ServiceSpec::ratePerSec, above(0.0),
+            "requests/s > 0", kSweep},
+        Key{"duration_ms", &ServiceSpec::durationMs, above(0.0),
+            "ms > 0", kSweep},
+        Key{"clients", &ServiceSpec::clients, Count{1}, "integer >= 1",
+            kSweep},
+        Key{"think_ms", &ServiceSpec::thinkMs, atLeast(0.0), "ms >= 0",
+            kSweep},
+        Key{"policy", &ServiceSpec::policy,
+            oneOf<BatchPolicyKind>(
+                {{"immediate", BatchPolicyKind::Immediate},
+                 {"fixed", BatchPolicyKind::FixedSize},
+                 {"window", BatchPolicyKind::TimeWindow},
+                 {"adaptive", BatchPolicyKind::Adaptive}}),
+            "immediate | fixed | window | adaptive", kSweep},
+        Key{"batch", &ServiceSpec::batch, Count{1}, "integer >= 1",
+            kSweep},
+        Key{"window_ms", &ServiceSpec::windowMs, atLeast(0.0),
+            "ms >= 0", kSweep},
+        Key{"devices", &ServiceSpec::devices, Count{1}, "integer >= 1",
+            kSweep},
+        Key{"lanes", &ServiceSpec::lanes, Count{1}, "integer >= 1",
+            kSweep},
+        Key{"seed", &ServiceSpec::seed, Count{0}, "unsigned integer",
+            kSweep},
+        Key{"slo_ms", &ServiceSpec::sloMs, atLeast(0.0),
+            "ms >= 0; 0 = off", kSweep},
+        Key{"slo_target", &ServiceSpec::sloTarget,
+            Real{0.0, true, 1.0, true}, "0 < q < 1", kSweep},
+        Key{"tail_quantile", &ServiceSpec::tailQuantile,
+            Real{0.0, true, 1.0, true}, "0 < q < 1", kSweep},
+        Key{"timeseries_ms", &ServiceSpec::timeseriesMs, above(0.0),
+            "ms > 0", kSweep},
+        Key{"tenant_skew", &ServiceSpec::tenantSkew, atLeast(0.0),
+            "Zipf exponent >= 0; 0 = uniform", kSweep},
+        Key{"memo", &ServiceSpec::memo,
+            oneOf<MemoMode>({{"on", MemoMode::On},
+                             {"off", MemoMode::Off},
+                             {"verify", MemoMode::Verify}}),
+            "on | off | verify", kSweep})};
+
+/** Row order is NnCache::key's byte order. */
+constexpr KeyTable kNnKeys{
+    "nn", "nn cell", true,
+    std::make_tuple(
+        Key{"bits", &NnSpec::bits, oneOf<u32>({{"1", 1}, {"4", 4}}),
+            "1 | 4", kSweep},
+        Key{"images", &NnSpec::images, Count{1}, "integer >= 1",
+            kSweep},
+        Key{"seed", &NnSpec::seed, Count{0}, "unsigned integer",
+            kSweep})};
+
+/** Call `fn(row)` for every row of `table`, in order. */
+template <typename Rows, typename Fn>
+void
+forEachKey(const KeyTable<Rows> &table, Fn &&fn)
+{
+    std::apply([&](const auto &...row) { (fn(row), ...); }, table.rows);
 }
+
+/** Call `fn(row)` for the row named `name`. @return false if none. */
+template <typename Rows, typename Fn>
+bool
+withKey(const KeyTable<Rows> &table, const std::string &name, Fn &&fn)
+{
+    return std::apply(
+        [&](const auto &...row) {
+            return ((name == row.name && (fn(row), true)) || ...);
+        },
+        table.rows);
+}
+
+/** @return the first name of enum value `v` in `table`, or "?". */
+template <typename Rows, typename M>
+const char *
+spellingIn(const KeyTable<Rows> &table, M v)
+{
+    const char *out = nullptr;
+    forEachKey(table, [&](const auto &row) {
+        if (!out)
+            out = spell(row.rule, v);
+    });
+    return out ? out : "?";
+}
+
+/** Parse `text` into `out` by `row`. @return error text or empty. */
+template <typename Row, typename M>
+std::string
+assign(const Row &row, const std::string &text, M &out)
+{
+    if (parse(row.rule, text, out))
+        return {};
+    return "bad " + std::string(row.name) + " '" + text + "' (" +
+           row.hint + ")";
+}
+
+/** @return the values of `spec`'s keys in `table` order, `sep`-joined. */
+template <typename Rows, typename Spec>
+std::string
+describe(const KeyTable<Rows> &table, const Spec &spec, char sep)
+{
+    std::string out;
+    bool first = true;
+    forEachKey(table, [&](const auto &row) {
+        const auto &v = spec.*row.member;
+        using M = std::remove_cvref_t<decltype(v)>;
+        if (!first)
+            out += sep;
+        first = false;
+        if constexpr (std::is_enum_v<M>)
+            out += spell(row.rule, v);
+        else if constexpr (std::is_floating_point_v<M>)
+            out += fmtDoubleExact(v);
+        else
+            out += std::to_string(v);
+    });
+    return out;
+}
+
+// ---- Drafts and grid expansion ----
 
 /** One `sweep KEY = v1, v2, ...` line, kept until expansion. */
 struct Sweep
@@ -265,63 +434,43 @@ struct Sweep
     int lineno = 0;
 };
 
-/** A [variant] (or the implicit default) before grid expansion. */
-struct VariantDraft
+/** A section before grid expansion. */
+template <typename Spec>
+struct Draft
 {
-    std::string name;
-    runtime::DeviceConfig config;
-    /** Keys plainly assigned in this section (override inherited
-     *  device-level sweeps). */
+    Spec spec;
+    /** Keys plainly assigned in this section (a [variant]'s override
+     *  inherited [device] sweeps). */
     std::vector<std::string> assigned;
     std::vector<Sweep> sweeps;
     int lineno = 0;
 };
 
-/** A [workload] section before grid expansion. */
-struct WorkloadDraft
+/** @return the object a section's key rows address within `spec`. */
+template <typename Spec>
+Spec &
+fieldsOf(Spec &spec)
 {
-    WorkloadSpec spec;
-    /** Keys plainly assigned in this section. */
-    std::vector<std::string> assigned;
-    std::vector<Sweep> sweeps;
-    int lineno = 0;
-};
+    return spec;
+}
 
-/** A [service] section before grid expansion. */
-struct ServiceDraft
+DeviceConfig &
+fieldsOf(DeviceSpec &spec)
 {
-    ServiceSpec spec;
-    std::vector<std::string> assigned;
-    std::vector<Sweep> sweeps;
-    int lineno = 0;
-};
-
-/** An [nn] section before grid expansion. */
-struct NnDraft
-{
-    NnSpec spec;
-    std::vector<std::string> assigned;
-    std::vector<Sweep> sweeps;
-    int lineno = 0;
-};
-
+    return spec.config;
+}
 
 bool
 contains(const std::vector<std::string> &v, const std::string &s)
 {
-    for (const auto &x : v)
-        if (x == s)
-            return true;
-    return false;
+    return std::find(v.begin(), v.end(), s) != v.end();
 }
 
 bool
 sweepsKey(const std::vector<Sweep> &sweeps, const std::string &key)
 {
-    for (const auto &s : sweeps)
-        if (s.key == key)
-            return true;
-    return false;
+    return std::any_of(sweeps.begin(), sweeps.end(),
+                       [&](const Sweep &s) { return s.key == key; });
 }
 
 /**
@@ -350,22 +499,88 @@ splitSweepValues(const std::string &text,
     }
 }
 
-/** Apply one swept workload key. @return error text or empty. */
+template <typename Rows>
 std::string
-applyWorkloadSweepKey(WorkloadSpec &w, const std::string &key,
-                      const std::string &value)
+unknownKey(const KeyTable<Rows> &table, const std::string &key)
 {
-    if (key == "elements") {
-        if (!parseU64(value, w.elements) || w.elements == 0)
-            return "bad elements '" + value + "' (integer >= 1)";
-    } else if (key == "seed") {
-        if (!parseU64(value, w.seed))
-            return "bad seed '" + value + "' (unsigned integer)";
-    } else {
-        return "cannot sweep workload key '" + key +
-               "' (elements | seed)";
+    return "unknown " + std::string(table.word) + " key '" + key + "'";
+}
+
+/** @return why `table` refuses `sweep key = ...`, or empty. */
+template <typename Rows>
+std::string
+sweepRefusal(const KeyTable<Rows> &table, const std::string &key)
+{
+    bool ok = false;
+    if (withKey(table, key, [&](const auto &row) { ok = row.sweepable; }) &&
+        ok)
+        return {};
+    std::string names;
+    bool all = true;
+    forEachKey(table, [&](const auto &row) {
+        if (row.sweepable)
+            names += (names.empty() ? "" : " | ") + std::string(row.name);
+        all = all && row.sweepable;
+    });
+    const std::string word = table.word;
+    if (names.empty())
+        return "sweep is not allowed in [" + word + "]";
+    if (all)
+        return unknownKey(table, key);
+    return "cannot sweep " + word + " key '" + key + "' (" + names + ")";
+}
+
+/**
+ * Apply one `key = value` line, or with `sweep` one `sweep key = ...`
+ * line (every grid value checked here, so a bad one fails on its own
+ * line), to draft `d`. @return error text or empty.
+ */
+template <typename Rows, typename Spec>
+std::string
+setOrSweep(const KeyTable<Rows> &table, Draft<Spec> &d,
+           const std::string &key, const std::string &value,
+           std::optional<Sweep> sweep)
+{
+    const auto bothSetAndSwept = [&] {
+        return "'" + key + "' is both set and swept in this section";
+    };
+    std::string err;
+    if (!sweep) {
+        if (sweepsKey(d.sweeps, key))
+            return bothSetAndSwept();
+        if (!withKey(table, key, [&](const auto &row) {
+                err = assign(row, value, fieldsOf(d.spec).*row.member);
+            }))
+            return unknownKey(table, key);
+        if (err.empty() && !contains(d.assigned, key))
+            d.assigned.push_back(key);
+        return err;
     }
-    return {};
+    err = sweepRefusal(table, key);
+    if (!err.empty())
+        return err;
+    if (sweepsKey(d.sweeps, key))
+        return "duplicate sweep key '" + key + "'";
+    if (contains(d.assigned, key))
+        return bothSetAndSwept();
+    withKey(table, key, [&](const auto &row) {
+        for (const auto &v : sweep->values) {
+            auto scratch = fieldsOf(d.spec).*row.member;
+            err = assign(row, v, scratch);
+            if (!err.empty())
+                return;
+        }
+    });
+    if (err.empty())
+        d.sweeps.push_back(std::move(*sweep));
+    return err;
+}
+
+/** @return "line N: msg". */
+std::string
+at(int lineno, const std::string &msg)
+{
+    return "line " + std::to_string(lineno) + ": " + msg;
 }
 
 /** Total combination count of a sweep list (0 on overflow). */
@@ -381,36 +596,77 @@ gridSize(const std::vector<Sweep> &sweeps)
     return n;
 }
 
+/**
+ * Append every cell of draft `d`'s grid to `out`, the first-declared
+ * key varying slowest. @return a "line N: ..." diagnostic or empty.
+ */
+template <typename Rows, typename Spec>
+std::string
+expand(const KeyTable<Rows> &table, const Draft<Spec> &d,
+       std::vector<Spec> &out)
+{
+    const std::string cell = table.cell;
+    const u64 combos = gridSize(d.sweeps);
+    if (combos == 0)
+        return at(d.lineno, "sweep grid of " + cell + " '" + d.spec.name +
+                                "' exceeds 4096 combinations");
+    for (u64 c = 0; c < combos; ++c) {
+        Spec spec = d.spec;
+        u64 span = combos;
+        for (const Sweep &s : d.sweeps) {
+            span /= s.values.size();
+            const std::string &v = s.values[c / span % s.values.size()];
+            // Checked when the sweep line was read.
+            withKey(table, s.key, [&](const auto &row) {
+                assign(row, v, fieldsOf(spec).*row.member);
+            });
+            if (table.named)
+                spec.name += "/" + s.key + "=" + v;
+        }
+        if (table.named)
+            for (const auto &other : out)
+                if (other.name == spec.name)
+                    return at(d.lineno, "duplicate " + cell + " '" +
+                                            spec.name +
+                                            "' after grid expansion");
+        out.push_back(std::move(spec));
+    }
+    return {};
+}
+
+/** Start draft `spec` of `table`'s section. @return error or empty. */
+template <typename Rows, typename Spec>
+std::string
+openDraft(const KeyTable<Rows> &table, std::vector<Draft<Spec>> &drafts,
+          Spec spec, int lineno)
+{
+    if (table.named)
+        for (const auto &d : drafts)
+            if (d.spec.name == spec.name)
+                return "duplicate " + std::string(table.cell) + " '" +
+                       spec.name + "'";
+    drafts.push_back({std::move(spec), {}, {}, lineno});
+    return {};
+}
+
 } // namespace
 
 const char *
 batchPolicyName(BatchPolicyKind kind)
 {
-    switch (kind) {
-      case BatchPolicyKind::Immediate:
-        return "immediate";
-      case BatchPolicyKind::FixedSize:
-        return "fixed";
-      case BatchPolicyKind::TimeWindow:
-        return "window";
-      case BatchPolicyKind::Adaptive:
-        return "adaptive";
-    }
-    return "?";
+    return spellingIn(kServiceKeys, kind);
 }
 
-const char *
-memoModeName(MemoMode mode)
+std::string
+keyDescriptor(const ServiceSpec &svc, char sep)
 {
-    switch (mode) {
-      case MemoMode::On:
-        return "on";
-      case MemoMode::Off:
-        return "off";
-      case MemoMode::Verify:
-        return "verify";
-    }
-    return "?";
+    return describe(kServiceKeys, svc, sep);
+}
+
+std::string
+keyDescriptor(const NnSpec &nn, char sep)
+{
+    return describe(kNnKeys, nn, sep);
 }
 
 u64
@@ -448,19 +704,17 @@ SimConfig::parse(const std::string &text, std::string &error)
         Nn,
     };
 
-    SimConfig cfg;
-    runtime::DeviceConfig defaults;
-    std::vector<std::string> defaultsAssigned;
-    std::vector<Sweep> deviceSweeps;
-    std::vector<VariantDraft> variants;
-    std::vector<WorkloadDraft> workloads;
-    std::vector<ServiceDraft> services;
-    std::vector<NnDraft> nnCells;
+    Draft<SimConfig> scenario;
+    Draft<DeviceSpec> device;
+    std::vector<Draft<DeviceSpec>> variants;
+    std::vector<Draft<WorkloadSpec>> workloads;
+    std::vector<Draft<ServiceSpec>> services;
+    std::vector<Draft<NnSpec>> nnCells;
     Section section = Section::None;
     int lineno = 0;
 
     const auto fail = [&](const std::string &msg) {
-        error = "line " + std::to_string(lineno) + ": " + msg;
+        error = at(lineno, msg);
         return std::nullopt;
     };
 
@@ -485,6 +739,7 @@ SimConfig::parse(const std::string &text, std::string &error)
                 if (b != std::string::npos)
                     arg = inner.substr(b);
             }
+            std::string err;
             if (head == "scenario") {
                 if (!arg.empty())
                     return fail("[scenario] takes no argument");
@@ -499,14 +754,9 @@ SimConfig::parse(const std::string &text, std::string &error)
             } else if (head == "variant") {
                 if (arg.empty())
                     return fail("[variant] needs a name");
-                for (const auto &v : variants)
-                    if (v.name == arg)
-                        return fail("duplicate variant '" + arg + "'");
-                VariantDraft v;
-                v.name = arg;
-                v.config = defaults;
-                v.lineno = lineno;
-                variants.push_back(std::move(v));
+                err = openDraft(kDeviceKeys, variants,
+                                DeviceSpec{arg, device.spec.config},
+                                lineno);
                 section = Section::Variant;
             } else if (head == "workload") {
                 if (arg.empty())
@@ -516,34 +766,25 @@ SimConfig::parse(const std::string &text, std::string &error)
                                 "' (available: " +
                                 workloads::workloadNamesJoined() +
                                 ")");
-                WorkloadDraft w;
-                w.spec.name = arg;
-                w.lineno = lineno;
-                workloads.push_back(std::move(w));
+                err = openDraft(kWorkloadKeys, workloads,
+                                WorkloadSpec{.name = arg}, lineno);
                 section = Section::Workload;
             } else if (head == "service") {
-                ServiceDraft s;
-                s.spec.name = arg.empty() ? "service" : arg;
-                for (const auto &other : services)
-                    if (other.spec.name == s.spec.name)
-                        return fail("duplicate service '" +
-                                    s.spec.name + "'");
-                s.lineno = lineno;
-                services.push_back(std::move(s));
+                err = openDraft(
+                    kServiceKeys, services,
+                    ServiceSpec{.name = arg.empty() ? "service" : arg},
+                    lineno);
                 section = Section::Service;
             } else if (head == "nn") {
-                NnDraft n;
-                n.spec.name = arg.empty() ? "nn" : arg;
-                for (const auto &other : nnCells)
-                    if (other.spec.name == n.spec.name)
-                        return fail("duplicate nn cell '" +
-                                    n.spec.name + "'");
-                n.lineno = lineno;
-                nnCells.push_back(std::move(n));
+                err = openDraft(kNnKeys, nnCells,
+                                NnSpec{.name = arg.empty() ? "nn" : arg},
+                                lineno);
                 section = Section::Nn;
             } else {
                 return fail("unknown section [" + head + "]");
             }
+            if (!err.empty())
+                return fail(err);
             continue;
         }
 
@@ -558,209 +799,50 @@ SimConfig::parse(const std::string &text, std::string &error)
             return fail("empty value for '" + key + "'");
 
         // Grid lines: `sweep KEY = v1, v2, ...`.
-        bool isSweep = false;
+        std::optional<Sweep> sweep;
         if (key == "sweep")
             return fail("sweep needs a key (sweep KEY = v1, v2, ...)");
         if (key.rfind("sweep", 0) == 0 &&
             (key[5] == ' ' || key[5] == '\t')) {
-            isSweep = true;
             key = cleanLine(key.substr(6));
             if (key.empty())
                 return fail(
                     "sweep needs a key (sweep KEY = v1, v2, ...)");
-        }
-        Sweep sweep;
-        if (isSweep) {
-            sweep.key = key;
-            sweep.lineno = lineno;
+            sweep.emplace(Sweep{key, {}, lineno});
             const std::string err =
-                splitSweepValues(value, sweep.values);
+                splitSweepValues(value, sweep->values);
             if (!err.empty())
                 return fail(err);
         }
 
+        std::string err;
         switch (section) {
           case Section::None:
             return fail("'" + key + "' outside any section");
           case Section::Scenario:
-            if (isSweep)
-                return fail("sweep is not allowed in [scenario]");
-            if (key == "name") {
-                cfg.name = value;
-            } else if (key == "out_dir") {
-                cfg.outDir = value;
-            } else if (key == "repeats") {
-                if (!parseU32(value, cfg.repeats) || cfg.repeats == 0)
-                    return fail("bad repeats '" + value +
-                                "' (integer >= 1)");
-            } else {
-                return fail("unknown scenario key '" + key + "'");
-            }
+            err = setOrSweep(kScenarioKeys, scenario, key, value, sweep);
             break;
           case Section::Device:
-          case Section::Variant: {
-            runtime::DeviceConfig &target =
-                section == Section::Device ? defaults
-                                           : variants.back().config;
-            std::vector<std::string> &assigned =
-                section == Section::Device
-                    ? defaultsAssigned
-                    : variants.back().assigned;
-            std::vector<Sweep> &sweeps =
-                section == Section::Device ? deviceSweeps
-                                           : variants.back().sweeps;
-            if (isSweep) {
-                if (sweepsKey(sweeps, key))
-                    return fail("duplicate sweep key '" + key + "'");
-                if (contains(assigned, key))
-                    return fail("'" + key +
-                                "' is both set and swept in this "
-                                "section");
-                // Validate every grid value against a scratch config
-                // so bad grid cells fail here, with this line number.
-                for (const auto &v : sweep.values) {
-                    runtime::DeviceConfig scratch = target;
-                    const std::string err =
-                        applyDeviceKey(scratch, key, v);
-                    if (!err.empty())
-                        return fail(err);
-                }
-                sweeps.push_back(std::move(sweep));
-            } else {
-                if (sweepsKey(sweeps, key))
-                    return fail("'" + key +
-                                "' is both set and swept in this "
-                                "section");
-                const std::string err =
-                    applyDeviceKey(target, key, value);
-                if (!err.empty())
-                    return fail(err);
-                if (!contains(assigned, key))
-                    assigned.push_back(key);
-            }
+            err = setOrSweep(kDeviceKeys, device, key, value, sweep);
             break;
-          }
-          case Section::Workload: {
-            WorkloadDraft &w = workloads.back();
-            if (isSweep) {
-                if (sweepsKey(w.sweeps, key))
-                    return fail("duplicate sweep key '" + key + "'");
-                if (contains(w.assigned, key))
-                    return fail("'" + key +
-                                "' is both set and swept in this "
-                                "section");
-                for (const auto &v : sweep.values) {
-                    WorkloadSpec scratch = w.spec;
-                    const std::string err =
-                        applyWorkloadSweepKey(scratch, key, v);
-                    if (!err.empty())
-                        return fail(err);
-                }
-                w.sweeps.push_back(std::move(sweep));
-            } else if (key == "elements") {
-                if (sweepsKey(w.sweeps, key))
-                    return fail("'elements' is both set and swept in "
-                                "this section");
-                if (!parseU64(value, w.spec.elements) ||
-                    w.spec.elements == 0)
-                    return fail("bad elements '" + value +
-                                "' (integer >= 1)");
-                w.assigned.push_back(key);
-            } else if (key == "seed") {
-                if (sweepsKey(w.sweeps, key))
-                    return fail("'seed' is both set and swept in "
-                                "this section");
-                if (!parseU64(value, w.spec.seed))
-                    return fail("bad seed '" + value +
-                                "' (unsigned integer)");
-                w.assigned.push_back(key);
-            } else if (key == "repeats") {
-                if (!parseU32(value, w.spec.repeats) ||
-                    w.spec.repeats == 0)
-                    return fail("bad repeats '" + value +
-                                "' (integer >= 1)");
-            } else if (key == "tenant") {
-                if (!parseU32(value, w.spec.tenant))
-                    return fail("bad tenant '" + value +
-                                "' (unsigned integer)");
-            } else if (key == "weight") {
-                if (!parseDouble(value, w.spec.weight) ||
-                    !(w.spec.weight > 0.0))
-                    return fail("bad weight '" + value +
-                                "' (> 0)");
-            } else if (key == "slo_ms") {
-                if (!parseDouble(value, w.spec.sloMs) ||
-                    !(w.spec.sloMs >= 0.0))
-                    return fail("bad slo_ms '" + value +
-                                "' (ms >= 0; 0 = service SLO)");
-            } else {
-                return fail("unknown workload key '" + key + "'");
-            }
+          case Section::Variant:
+            err = setOrSweep(kDeviceKeys, variants.back(), key, value,
+                             sweep);
             break;
-          }
-          case Section::Service: {
-            ServiceDraft &s = services.back();
-            if (isSweep) {
-                if (sweepsKey(s.sweeps, key))
-                    return fail("duplicate sweep key '" + key + "'");
-                if (contains(s.assigned, key))
-                    return fail("'" + key +
-                                "' is both set and swept in this "
-                                "section");
-                for (const auto &v : sweep.values) {
-                    ServiceSpec scratch = s.spec;
-                    const std::string err =
-                        applyServiceKey(scratch, key, v);
-                    if (!err.empty())
-                        return fail(err);
-                }
-                s.sweeps.push_back(std::move(sweep));
-            } else {
-                if (sweepsKey(s.sweeps, key))
-                    return fail("'" + key +
-                                "' is both set and swept in this "
-                                "section");
-                const std::string err =
-                    applyServiceKey(s.spec, key, value);
-                if (!err.empty())
-                    return fail(err);
-                if (!contains(s.assigned, key))
-                    s.assigned.push_back(key);
-            }
+          case Section::Workload:
+            err = setOrSweep(kWorkloadKeys, workloads.back(), key, value,
+                             sweep);
             break;
-          }
-          case Section::Nn: {
-            NnDraft &n = nnCells.back();
-            if (isSweep) {
-                if (sweepsKey(n.sweeps, key))
-                    return fail("duplicate sweep key '" + key + "'");
-                if (contains(n.assigned, key))
-                    return fail("'" + key +
-                                "' is both set and swept in this "
-                                "section");
-                for (const auto &v : sweep.values) {
-                    NnSpec scratch = n.spec;
-                    const std::string err =
-                        applyNnKey(scratch, key, v);
-                    if (!err.empty())
-                        return fail(err);
-                }
-                n.sweeps.push_back(std::move(sweep));
-            } else {
-                if (sweepsKey(n.sweeps, key))
-                    return fail("'" + key +
-                                "' is both set and swept in this "
-                                "section");
-                const std::string err =
-                    applyNnKey(n.spec, key, value);
-                if (!err.empty())
-                    return fail(err);
-                if (!contains(n.assigned, key))
-                    n.assigned.push_back(key);
-            }
+          case Section::Service:
+            err = setOrSweep(kServiceKeys, services.back(), key, value,
+                             sweep);
             break;
-          }
+          case Section::Nn:
+            err = setOrSweep(kNnKeys, nnCells.back(), key, value, sweep);
+            break;
         }
+        if (!err.empty())
+            return fail(err);
     }
 
     // [workload] sections feed batch and service mode; an nn-only
@@ -769,162 +851,38 @@ SimConfig::parse(const std::string &text, std::string &error)
         error = "scenario declares no [workload] or [nn] sections";
         return std::nullopt;
     }
-    if (variants.empty()) {
-        VariantDraft v;
-        v.name = "default";
-        v.config = defaults;
-        v.lineno = lineno;
-        variants.push_back(std::move(v));
-    }
+    if (variants.empty())
+        variants.push_back(
+            {DeviceSpec{"default", device.spec.config}, {}, {}, lineno});
 
     // ---- Grid expansion ----
 
-    const auto failAt = [&](int at, const std::string &msg) {
-        error = "line " + std::to_string(at) + ": " + msg;
-        return std::nullopt;
-    };
-
-    for (const auto &draft : variants) {
+    for (auto &v : variants) {
         // Device-level sweeps are inherited unless the variant set or
         // swept the key itself; variant sweeps follow, in order.
-        std::vector<Sweep> sweeps;
-        for (const auto &s : deviceSweeps)
-            if (!contains(draft.assigned, s.key) &&
-                !sweepsKey(draft.sweeps, s.key))
-                sweeps.push_back(s);
-        for (const auto &s : draft.sweeps)
-            sweeps.push_back(s);
-
-        const u64 combos = gridSize(sweeps);
-        if (combos == 0)
-            return failAt(draft.lineno,
-                          "sweep grid of variant '" + draft.name +
-                              "' exceeds 4096 combinations");
-        for (u64 c = 0; c < combos; ++c) {
-            DeviceSpec spec;
-            spec.name = draft.name;
-            spec.config = draft.config;
-            // Odometer: first-declared key varies slowest.
-            u64 rest = c;
-            for (std::size_t k = 0; k < sweeps.size(); ++k) {
-                u64 span = 1;
-                for (std::size_t j = k + 1; j < sweeps.size(); ++j)
-                    span *= sweeps[j].values.size();
-                const std::string &v =
-                    sweeps[k].values[(rest / span) %
-                                     sweeps[k].values.size()];
-                rest %= span;
-                const std::string err =
-                    applyDeviceKey(spec.config, sweeps[k].key, v);
-                if (!err.empty()) // validated above; belt and braces
-                    return failAt(sweeps[k].lineno, err);
-                spec.name += "/" + sweeps[k].key + "=" + v;
-            }
-            for (const auto &d : cfg.devices)
-                if (d.name == spec.name)
-                    return failAt(draft.lineno,
-                                  "duplicate variant '" + spec.name +
-                                      "' after grid expansion");
-            cfg.devices.push_back(std::move(spec));
-        }
+        std::vector<Sweep> inherited;
+        for (const auto &s : device.sweeps)
+            if (!contains(v.assigned, s.key) &&
+                !sweepsKey(v.sweeps, s.key))
+                inherited.push_back(s);
+        v.sweeps.insert(v.sweeps.begin(), inherited.begin(),
+                        inherited.end());
     }
-
-    for (const auto &draft : workloads) {
-        const u64 combos = gridSize(draft.sweeps);
-        if (combos == 0)
-            return failAt(draft.lineno,
-                          "sweep grid of workload '" +
-                              draft.spec.name +
-                              "' exceeds 4096 combinations");
-        for (u64 c = 0; c < combos; ++c) {
-            WorkloadSpec spec = draft.spec;
-            u64 rest = c;
-            for (std::size_t k = 0; k < draft.sweeps.size(); ++k) {
-                u64 span = 1;
-                for (std::size_t j = k + 1; j < draft.sweeps.size();
-                     ++j)
-                    span *= draft.sweeps[j].values.size();
-                const Sweep &s = draft.sweeps[k];
-                const std::string &v =
-                    s.values[(rest / span) % s.values.size()];
-                rest %= span;
-                const std::string err =
-                    applyWorkloadSweepKey(spec, s.key, v);
-                if (!err.empty())
-                    return failAt(s.lineno, err);
-            }
-            cfg.workloads.push_back(std::move(spec));
+    SimConfig cfg = std::move(scenario.spec);
+    const auto expandAll = [&](const auto &table, const auto &drafts,
+                               auto &out) {
+        for (const auto &d : drafts) {
+            error = expand(table, d, out);
+            if (!error.empty())
+                return false;
         }
-    }
-
-    for (const auto &draft : services) {
-        const u64 combos = gridSize(draft.sweeps);
-        if (combos == 0)
-            return failAt(draft.lineno,
-                          "sweep grid of service '" +
-                              draft.spec.name +
-                              "' exceeds 4096 combinations");
-        for (u64 c = 0; c < combos; ++c) {
-            ServiceSpec spec = draft.spec;
-            u64 rest = c;
-            for (std::size_t k = 0; k < draft.sweeps.size(); ++k) {
-                u64 span = 1;
-                for (std::size_t j = k + 1; j < draft.sweeps.size();
-                     ++j)
-                    span *= draft.sweeps[j].values.size();
-                const Sweep &s = draft.sweeps[k];
-                const std::string &v =
-                    s.values[(rest / span) % s.values.size()];
-                rest %= span;
-                const std::string err =
-                    applyServiceKey(spec, s.key, v);
-                if (!err.empty())
-                    return failAt(s.lineno, err);
-                spec.name += "/" + s.key + "=" + v;
-            }
-            for (const auto &other : cfg.services)
-                if (other.name == spec.name)
-                    return failAt(draft.lineno,
-                                  "duplicate service '" + spec.name +
-                                      "' after grid expansion");
-            cfg.services.push_back(std::move(spec));
-        }
-    }
-
-    for (const auto &draft : nnCells) {
-        const u64 combos = gridSize(draft.sweeps);
-        if (combos == 0)
-            return failAt(draft.lineno,
-                          "sweep grid of nn cell '" +
-                              draft.spec.name +
-                              "' exceeds 4096 combinations");
-        for (u64 c = 0; c < combos; ++c) {
-            NnSpec spec = draft.spec;
-            u64 rest = c;
-            for (std::size_t k = 0; k < draft.sweeps.size(); ++k) {
-                u64 span = 1;
-                for (std::size_t j = k + 1; j < draft.sweeps.size();
-                     ++j)
-                    span *= draft.sweeps[j].values.size();
-                const Sweep &s = draft.sweeps[k];
-                const std::string &v =
-                    s.values[(rest / span) % s.values.size()];
-                rest %= span;
-                const std::string err = applyNnKey(spec, s.key, v);
-                if (!err.empty())
-                    return failAt(s.lineno, err);
-                spec.name += "/" + s.key + "=" + v;
-            }
-            for (const auto &other : cfg.nnCells)
-                if (other.name == spec.name)
-                    return failAt(draft.lineno,
-                                  "duplicate nn cell '" + spec.name +
-                                      "' after grid expansion");
-            cfg.nnCells.push_back(std::move(spec));
-        }
-    }
-
-    error.clear();
+        return true;
+    };
+    if (!expandAll(kDeviceKeys, variants, cfg.devices) ||
+        !expandAll(kWorkloadKeys, workloads, cfg.workloads) ||
+        !expandAll(kServiceKeys, services, cfg.services) ||
+        !expandAll(kNnKeys, nnCells, cfg.nnCells))
+        return std::nullopt;
     return cfg;
 }
 

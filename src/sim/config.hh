@@ -1,46 +1,36 @@
 /**
  * @file
- * SimConfig: the scenario-file model of the batch simulation engine.
+ * SimConfig: the scenario-file model behind every campaign mode.
  *
  * A scenario file is a small INI document describing one experiment
- * campaign: global settings, one or more device *variants* (each a
- * full pLUTo configuration: memory kind, design, SALP width, tFAW
- * scale, refresh modeling, LUT load method), and a list of workloads
- * with input sizes and repeat counts. The engine runs the cross
- * product variants x workloads x repeats.
+ * campaign (line oriented; '#' and ';' start comments):
  *
- * Grammar (line oriented; '#' and ';' start comments):
+ *   [scenario]        global settings (name, out_dir, repeats)
+ *   [device]          device defaults inherited by every variant
+ *   [variant NAME]    one device configuration (overrides [device])
+ *   [workload NAME]   one workload (NAME is a registry name); batch
+ *                     mode runs it, service mode uses it as one
+ *                     request class of the mix
+ *   [service NAME]    one request-level serving experiment
+ *                     (`pluto_sim --service`, src/serve/)
+ *   [nn NAME]         one quantized LeNet-5 inference cell
+ *                     (`pluto_sim --nn`, src/nn/)
  *
- *   [scenario]            global settings (name, out_dir, repeats)
- *   [device]              defaults inherited by every variant
- *   [variant NAME]        one device configuration (overrides [device])
- *   [workload NAME]       one workload entry (NAME is a registry name)
+ * Batch mode runs variants x workloads x repeats, service mode
+ * variants x services and nn mode variants x nn cells. A scenario
+ * needs a [workload] or an [nn] section.
  *
- * v2 adds parameter grids: inside [device] / [variant] sections any
- * device key may be swept, and inside [workload] sections `elements`
- * and `seed` may be swept:
+ * Keys marked sweepable in the parser's key tables (every device,
+ * service and nn key, and a workload's `elements` and `seed`) may
+ * also be given as a grid:
  *
  *   sweep KEY = v1, v2, v3
  *
- * v3 adds the service layer: [service NAME] sections describe
- * request-level serving experiments (open/closed-loop load, batching
- * policy, device pool size) executed by src/serve/ in `pluto_sim
- * --service` mode. Every service key is sweepable, so one file
- * expresses a saturation curve (`sweep rate = ...`). Workload
- * sections double as the request mix in service mode, weighted by
- * `weight` and attributed to `tenant`.
- *
- * v4 adds the NN campaign: [nn NAME] sections describe quantized
- * LeNet-5 inference cells (`bits`, `images`, `seed` — all sweepable)
- * executed by src/nn/ in `pluto_sim --nn` mode. A scenario may be
- * nn-only: [workload] sections are required only when a mode that
- * consumes them (batch, service) will run.
- *
  * Each section expands into the cross product of its sweep lists (in
- * declaration order, first key slowest), so one file expresses a
- * Figure-13-style campaign. Expanded variants are named
- * `base/key=value/...`; [device]-level sweeps are inherited by every
- * variant that neither sets nor sweeps the same key itself.
+ * declaration order, first key slowest). Expanded variants, services
+ * and nn cells are named `base/key=value/...`; expanded workloads
+ * keep their registry name. [device]-level sweeps are inherited by
+ * every variant that neither sets nor sweeps the same key itself.
  *
  * Parsing is total and non-fatal: malformed input (including bad
  * grid syntax, empty sweep lists and duplicate sweep keys) yields an
@@ -116,9 +106,6 @@ enum class MemoMode
     Verify,
 };
 
-/** @return the INI spelling of a memoization mode. */
-const char *memoModeName(MemoMode mode);
-
 /**
  * One request-level serving experiment (a [service NAME] section).
  * Runs against every device variant of the scenario; the scenario's
@@ -190,6 +177,18 @@ struct NnSpec
     /** Weight- and image-generation seed. */
     u64 seed = 5;
 };
+
+/**
+ * @return the cache-key descriptor of `svc`: the value of every
+ * [service] key, in key-table order, joined by `sep`. Integers and
+ * flags print in decimal, doubles exactly (fmtDoubleExact) and enums
+ * by their INI spelling. Every key is in it, so a new [service] key
+ * cannot be left out of the cache key.
+ */
+std::string keyDescriptor(const ServiceSpec &svc, char sep);
+
+/** @return the cache-key descriptor of `nn` (as for ServiceSpec). */
+std::string keyDescriptor(const NnSpec &nn, char sep);
 
 /** A parsed scenario. */
 struct SimConfig

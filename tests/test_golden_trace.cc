@@ -26,14 +26,20 @@
  * runs CSV and summary JSON) of small grids, so that a writer change
  * that alters every row the same way still shows up as a diff.
  *
+ * The last pins what the scenario parser makes of every bundled
+ * scenario: the expanded cells and the cache key of each, so a parser
+ * or cache-key drift shows up even where no stored entry covers it.
+ *
  * Regeneration: PLUTO_UPDATE_GOLDEN=1 ./test_golden_trace
  * rewrites tests/golden/ in the source tree (see tests/README.md).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -43,13 +49,20 @@
 #include "nn/lenet5.hh"
 #include "obs/registry.hh"
 #include "runtime/device.hh"
+#include "serve/cache.hh"
+#include "serve/loadgen.hh"
 #include "serve/metrics.hh"
 #include "serve/runner.hh"
+#include "sim/cache.hh"
 #include "sim/metrics.hh"
 #include "sim/runner.hh"
+#include "workloads/workload.hh"
 
 #ifndef PLUTO_GOLDEN_DIR
 #define PLUTO_GOLDEN_DIR "tests/golden"
+#endif
+#ifndef PLUTO_SCENARIO_DIR
+#define PLUTO_SCENARIO_DIR "examples/scenarios"
 #endif
 
 namespace pluto::runtime
@@ -401,6 +414,71 @@ images = 2
                      nn::NnMetricsSink::renderCsv(cfg, report) +
                      "## summary.json\n" +
                      nn::NnMetricsSink::renderJson(cfg, report));
+}
+
+/**
+ * @return the cells one scenario file expands to: each variant with
+ * its device descriptor, every workload field, and the cache key of
+ * every batch run, service cell and nn cell.
+ */
+std::string
+scenarioCells(const sim::SimConfig &cfg)
+{
+    std::ostringstream out;
+    out << "scenario " << cfg.name << " out_dir=" << cfg.outDir
+        << " repeats=" << cfg.repeats << "\n";
+    for (const auto &d : cfg.devices)
+        out << "variant " << d.name << " " << deviceDescriptor(d.config)
+            << "\n";
+    for (const auto &w : cfg.workloads)
+        out << "workload " << w.name << " elements=" << w.elements
+            << " repeats=" << w.repeats << " seed=" << w.seed
+            << " tenant=" << w.tenant
+            << " weight=" << fmtDoubleExact(w.weight)
+            << " slo_ms=" << fmtDoubleExact(w.sloMs) << "\n";
+    for (const auto &d : cfg.devices) {
+        for (const auto &w : cfg.workloads) {
+            const u64 elements =
+                w.elements ? w.elements
+                           : workloads::makeWorkload(w.name)
+                                 ->defaultElements(d.config.memory);
+            for (u32 r = 0; r < w.repeats * cfg.repeats; ++r)
+                out << "run " << d.name << " " << w.name << " " << r
+                    << " "
+                    << sim::RunCache::key(d.config, w.name, elements,
+                                          w.seed, r)
+                    << "\n";
+        }
+        const auto mix = serve::buildMix(cfg, d.config);
+        for (const auto &s : cfg.services)
+            out << "service " << d.name << " " << s.name << " "
+                << serve::ServiceCache::key(d.config, s, mix) << "\n";
+        for (const auto &n : cfg.nnCells)
+            out << "nn " << d.name << " " << n.name << " "
+                << nn::NnCache::key(d.config, n) << "\n";
+    }
+    return out.str();
+}
+
+/** Every bundled scenario file, parsed and expanded. */
+TEST(GoldenScenarios, CellsAndCacheKeysOfEveryExample)
+{
+    std::vector<std::filesystem::path> files;
+    for (const auto &e :
+         std::filesystem::directory_iterator(PLUTO_SCENARIO_DIR))
+        if (e.path().extension() == ".ini")
+            files.push_back(e.path());
+    std::sort(files.begin(), files.end());
+    ASSERT_FALSE(files.empty());
+
+    std::string got;
+    for (const auto &f : files) {
+        std::string err;
+        const auto cfg = sim::SimConfig::load(f.string(), err);
+        ASSERT_TRUE(cfg) << f << ": " << err;
+        got += "## " + f.filename().string() + "\n" + scenarioCells(*cfg);
+    }
+    expectGolden("scenario_cells", got);
 }
 
 } // namespace

@@ -460,8 +460,11 @@ TEST(Histogram, DenseBucketsMatchASparseMapReference)
     for (auto it = ref.begin(); it != ref.end(); ++it) {
         if (it != ref.begin())
             tail += ",";
-        tail += "[" + std::to_string(it->first) + "," +
-                std::to_string(it->second) + "]";
+        tail += "[";
+        tail += std::to_string(it->first);
+        tail += ",";
+        tail += std::to_string(it->second);
+        tail += "]";
     }
     tail += "]}";
     const std::string json = h.encodeJson();

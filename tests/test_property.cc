@@ -82,9 +82,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Design::Bsa, Design::Gsa,
                                          Design::Gmc)),
     [](const auto &info) {
-        return "w" + std::to_string(std::get<0>(info.param)) + "_" +
-               std::string(core::designName(std::get<1>(info.param)))
-                   .substr(6);
+        std::string name = "w";
+        name += std::to_string(std::get<0>(info.param));
+        name += "_";
+        name += std::string(core::designName(std::get<1>(info.param)))
+                    .substr(6);
+        return name;
     });
 
 // ---- tFAW window invariant under random loads ----

@@ -248,7 +248,9 @@ TEST(SimConfig, UnknownWorkloadErrorListsAvailableNames)
 struct BadCase
 {
     const char *text;
-    const char *expect; // substring of the diagnostic
+    /** Substring of the diagnostic, or the whole of it when it
+     *  starts with "line ". */
+    const char *expect;
 };
 
 class SimConfigRejects : public ::testing::TestWithParam<BadCase>
@@ -260,8 +262,11 @@ TEST_P(SimConfigRejects, WithDiagnostic)
     std::string err;
     const auto cfg = SimConfig::parse(GetParam().text, err);
     EXPECT_FALSE(cfg);
-    EXPECT_NE(err.find(GetParam().expect), std::string::npos)
-        << "got: " << err;
+    const std::string expect = GetParam().expect;
+    if (expect.rfind("line ", 0) == 0)
+        EXPECT_EQ(err, expect);
+    else
+        EXPECT_NE(err.find(expect), std::string::npos) << "got: " << err;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -354,7 +359,52 @@ INSTANTIATE_TEST_SUITE_P(
                 "bad rate"},
         BadCase{"[workload ADD4]\n[service a]\nduration_ms = nan\n",
                 "bad duration_ms"},
-        BadCase{"[workload ADD4]\nweight = inf\n", "bad weight"}));
+        BadCase{"[workload ADD4]\nweight = inf\n", "bad weight"},
+        // Whole diagnostics of every key's value check.
+        BadCase{"[scenario]\nrepeats = 0\n[workload ADD4]\n",
+                "line 2: bad repeats '0' (integer >= 1)"},
+        BadCase{"[device]\nsalp = -1\n[workload ADD4]\n",
+                "line 2: bad salp '-1' (unsigned integer)"},
+        BadCase{"[device]\nrefresh = maybe\n[workload ADD4]\n",
+                "line 2: bad refresh 'maybe' (on | off)"},
+        BadCase{"[device]\nload_method = disk\n[workload ADD4]\n",
+                "line 2: bad load_method 'disk' "
+                "(generate | memory | storage)"},
+        BadCase{"[workload ADD4]\nslo_ms = -1\n",
+                "line 2: bad slo_ms '-1' (ms >= 0; 0 = service SLO)"},
+        BadCase{"[workload ADD4]\n[service a]\narrivals = bursty\n",
+                "line 3: bad arrivals 'bursty' (poisson | uniform)"},
+        BadCase{"[workload ADD4]\n[service a]\nduration_ms = 0\n",
+                "line 3: bad duration_ms '0' (ms > 0)"},
+        BadCase{"[workload ADD4]\n[service a]\nclients = 0\n",
+                "line 3: bad clients '0' (integer >= 1)"},
+        BadCase{"[workload ADD4]\n[service a]\nthink_ms = -1\n",
+                "line 3: bad think_ms '-1' (ms >= 0)"},
+        BadCase{"[workload ADD4]\n[service a]\nwindow_ms = -0.5\n",
+                "line 3: bad window_ms '-0.5' (ms >= 0)"},
+        BadCase{"[workload ADD4]\n[service a]\nlanes = 0\n",
+                "line 3: bad lanes '0' (integer >= 1)"},
+        BadCase{"[workload ADD4]\n[service a]\nseed = -3\n",
+                "line 3: bad seed '-3' (unsigned integer)"},
+        BadCase{"[workload ADD4]\n[service a]\nslo_ms = -1\n",
+                "line 3: bad slo_ms '-1' (ms >= 0; 0 = off)"},
+        BadCase{"[workload ADD4]\n[service a]\nslo_target = 1\n",
+                "line 3: bad slo_target '1' (0 < q < 1)"},
+        BadCase{"[workload ADD4]\n[service a]\ntail_quantile = 0\n",
+                "line 3: bad tail_quantile '0' (0 < q < 1)"},
+        BadCase{"[workload ADD4]\n[service a]\ntenant_skew = -1\n",
+                "line 3: bad tenant_skew '-1' "
+                "(Zipf exponent >= 0; 0 = uniform)"},
+        BadCase{"[workload ADD4]\n[service a]\ntimeseries_ms = 0\n",
+                "line 3: bad timeseries_ms '0' (ms > 0)"},
+        BadCase{"[nn a]\nimages = 0\n",
+                "line 2: bad images '0' (integer >= 1)"},
+        BadCase{"[nn a]\nseed = x\n",
+                "line 2: bad seed 'x' (unsigned integer)"},
+        BadCase{"[workload ADD4]\n[service a]\nsweep warp = 1, 2\n",
+                "line 3: unknown service key 'warp'"},
+        BadCase{"[nn a]\nsweep warp = 1, 2\n",
+                "line 2: unknown nn key 'warp'"}));
 
 TEST(SimConfig, GridErrorsCarryLineNumbers)
 {
